@@ -6,6 +6,11 @@
 // evaluates at the displaced feet straight from the strip -- the full-size
 // coefficient array never exists.
 //
+// The fused side is BatchedAdvection1D, which runs the plan for every
+// fusable configuration; the unfused side is Algorithm 2 assembled here
+// from the library's building blocks, with the span labels and modelled
+// bytes the library's Algorithm 2 path records.
+//
 // Three gates make this harness CI-meaningful rather than a demo:
 //   * 0-ULP oracle (hard): at Precision::Double the fused step must be
 //     bitwise identical to the unfused step on every backend.
@@ -24,7 +29,10 @@
 // are forwarded to google-benchmark.
 #include "advection/advection_plan.hpp"
 #include "advection/semi_lagrangian.hpp"
+#include "advection/transpose.hpp"
 #include "bench/common.hpp"
+#include "core/spline_builder.hpp"
+#include "core/spline_evaluator.hpp"
 #include "parallel/profiling.hpp"
 #include "perf/hardware.hpp"
 #include "perf/metrics.hpp"
@@ -45,6 +53,8 @@ using namespace pspl;
 using advection::BatchedAdvection1D;
 
 constexpr std::size_t kNx = 1000;
+constexpr auto kVersion = core::BuilderVersion::FusedSpmvSimd;
+constexpr double kDt = 1e-3;
 
 std::size_t batch_size()
 {
@@ -65,18 +75,94 @@ std::uint64_t ulp_distance(double a, double b)
     return x > y ? x - y : y - x;
 }
 
-BatchedAdvection1D make_advection(std::size_t nv, bool fused)
+bsplines::BSplineBasis make_basis()
 {
-    const auto basis = bench::make_basis(3, true, kNx);
-    const auto v = advection::uniform_velocities(nv, -1.0, 1.0);
-    BatchedAdvection1D::Config cfg;
-    cfg.version = core::BuilderVersion::FusedSpmvSimd;
-    cfg.fuse_build_eval = fused ? BatchedAdvection1D::Config::Fuse::On
-                                : BatchedAdvection1D::Config::Fuse::Off;
-    return BatchedAdvection1D(basis, v, 1e-3, cfg);
+    return bench::make_basis(3, true, kNx);
 }
 
-View2D<double> make_f(const BatchedAdvection1D& adv)
+View1D<double> make_velocities(std::size_t nv)
+{
+    return advection::uniform_velocities(nv, -1.0, 1.0);
+}
+
+BatchedAdvection1D make_fused(std::size_t nv)
+{
+    BatchedAdvection1D::Config cfg;
+    cfg.version = kVersion;
+    return BatchedAdvection1D(make_basis(), make_velocities(nv), kDt, cfg);
+}
+
+/// The unfused Algorithm 2 step: transpose f so the batch index is
+/// contiguous, build the coefficients in place, transpose them back, and
+/// evaluate every row at the feet. Same builder version, evaluator entry
+/// point, span labels and modelled bytes as the library's Algorithm 2
+/// path, with the same persistent first-touched scratch blocks.
+class Algorithm2Step
+{
+public:
+    explicit Algorithm2Step(std::size_t nv)
+        : m_basis(make_basis())
+        , m_builder(m_basis, kVersion)
+        , m_evaluator(m_basis)
+        , m_points("advection_points", kNx)
+        , m_velocities(make_velocities(nv))
+        , m_ft(FirstTouch, "advection_ft", kNx, nv)
+        , m_eta(FirstTouch, "advection_eta", nv, kNx)
+    {
+        const auto pts = m_basis.interpolation_points();
+        for (std::size_t i = 0; i < kNx; ++i) {
+            m_points(i) = pts[i];
+        }
+    }
+
+    std::size_t nv() const { return m_velocities.extent(0); }
+    std::size_t nx() const { return kNx; }
+    const View1D<double>& points() const { return m_points; }
+
+    template <class Exec = DefaultExecutionSpace>
+    void step(const View2D<double>& f) const
+    {
+        profiling::ScopedRegion region("pspl_advection_step");
+        advection::transpose<Exec>("pspl::advection::transpose_fwd", f, m_ft);
+        m_builder.build_inplace<Exec>(m_ft);
+        advection::transpose<Exec>("pspl::advection::transpose_bwd", m_ft,
+                                   m_eta);
+        const auto eta = m_eta;
+        const auto points = m_points;
+        const auto velocities = m_velocities;
+        const auto evaluator = m_evaluator;
+        parallel_for("pspl::advection::interpolate", RangePolicy<Exec>(nv()),
+                     [=](std::size_t j) {
+                         evaluator.evaluate_shifted(points,
+                                                    velocities(j) * kDt,
+                                                    subview(eta, j, ALL),
+                                                    &f(j, 0));
+                     });
+        if (profiling::enabled()) {
+            // The coefficient array streams back in from DRAM and the
+            // advected values stream out.
+            const double rows = static_cast<double>(nv());
+            const double cols = static_cast<double>(kNx);
+            profiling::add_counters(
+                    "pspl::advection::interpolate",
+                    rows * 2.0 * cols * static_cast<double>(sizeof(double)),
+                    rows * cols
+                            * advection::eval_point_flops(m_basis.degree()));
+        }
+    }
+
+private:
+    bsplines::BSplineBasis m_basis;
+    core::SplineBuilder m_builder;
+    core::SplineEvaluator m_evaluator;
+    View1D<double> m_points;
+    View1D<double> m_velocities;
+    View2D<double> m_ft;  ///< (Nx, Nv) transposed values / coefficients
+    View2D<double> m_eta; ///< (Nv, Nx) coefficients, x contiguous
+};
+
+template <class Stepper>
+View2D<double> make_f(const Stepper& adv)
 {
     View2D<double> f("f", adv.nv(), adv.nx());
     for (std::size_t j = 0; j < adv.nv(); ++j) {
@@ -93,9 +179,8 @@ View2D<double> make_f(const BatchedAdvection1D& adv)
 /// schema-v5 counter_only) are excluded -- their bytes are already merged
 /// into the timed parent by attribute_solve_cost, and double-counting them
 /// would flatter neither path honestly.
-template <class Exec>
-double modeled_step_bytes(const BatchedAdvection1D& adv,
-                          const View2D<double>& f)
+template <class Exec, class Stepper>
+double modeled_step_bytes(const Stepper& adv, const View2D<double>& f)
 {
     profiling::clear();
     profiling::set_enabled(true);
@@ -110,18 +195,26 @@ double modeled_step_bytes(const BatchedAdvection1D& adv,
     return bytes;
 }
 
-void bm_step(benchmark::State& state)
+template <class Stepper>
+void run_steps(benchmark::State& state, const Stepper& adv)
 {
-    const auto nv = static_cast<std::size_t>(state.range(0));
-    const bool fused = state.range(1) != 0;
-    auto adv = make_advection(nv, fused);
     auto f = make_f(adv);
     for (auto _ : state) {
         adv.step(f);
         benchmark::DoNotOptimize(f.data());
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations())
-                            * static_cast<int64_t>(kNx * nv));
+                            * static_cast<int64_t>(kNx * adv.nv()));
+}
+
+void bm_step(benchmark::State& state)
+{
+    const auto nv = static_cast<std::size_t>(state.range(0));
+    if (state.range(1) != 0) {
+        run_steps(state, make_fused(nv));
+    } else {
+        run_steps(state, Algorithm2Step(nv));
+    }
 }
 
 struct Gates {
@@ -135,8 +228,8 @@ void sweep_backend(std::size_t nv, const bench::TimingControl& timing,
                    perf::Table& table, bench::JsonReport& json, Gates& gates)
 {
     const char* space = Exec::name();
-    auto unfused = make_advection(nv, false);
-    auto fused = make_advection(nv, true);
+    const Algorithm2Step unfused(nv);
+    const auto fused = make_fused(nv);
     if (!fused.fused_active()) {
         std::printf("%s: fused pipeline unavailable (reduced precision?) -- "
                     "skipping\n",

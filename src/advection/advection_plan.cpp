@@ -1,8 +1,5 @@
 #include "advection/advection_plan.hpp"
 
-#include <cctype>
-#include <cstdlib>
-#include <string>
 #include <utility>
 
 namespace pspl::advection {
@@ -60,11 +57,9 @@ AdvectionPlan::AdvectionPlan(const core::SplineBuilder& builder,
     if (!m_fusable) {
         return;
     }
-    m_use_spmv = v == core::BuilderVersion::FusedSpmv
-                 || v == core::BuilderVersion::FusedSpmvSimd;
-    const bool simd_solve = v == core::BuilderVersion::FusedSimd
-                            || v == core::BuilderVersion::FusedSpmvSimd;
-    m_width = simd_solve ? simd_preferred_width<double> : 1;
+    const core::FusedChain chain = core::fused_chain(v);
+    m_use_spmv = chain.use_spmv;
+    m_width = chain.pack_width;
     const std::size_t n = m_builder.basis().nbasis();
     const std::size_t npts = m_points.extent(0);
     const std::size_t nv = m_velocities.extent(0);
@@ -73,24 +68,6 @@ AdvectionPlan::AdvectionPlan(const core::SplineBuilder& builder,
             + npts * sizeof(double);
     m_tile = m_builder.tile_policy().fused_advect_tile_cols(
             n, npts, nv, static_cast<std::size_t>(m_width), fixed);
-}
-
-bool fused_advect_enabled(const char* text)
-{
-    if (text == nullptr || *text == '\0') {
-        return true;
-    }
-    std::string s;
-    for (const char* p = text; *p != '\0'; ++p) {
-        s += static_cast<char>(
-                std::tolower(static_cast<unsigned char>(*p)));
-    }
-    return s != "0" && s != "off" && s != "false" && s != "no";
-}
-
-bool fused_advect_env()
-{
-    return fused_advect_enabled(std::getenv("PSPL_ADVECT_FUSED"));
 }
 
 } // namespace pspl::advection

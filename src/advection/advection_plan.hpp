@@ -8,8 +8,8 @@
 // the fused solve already memory-bound, so this driver cuts the traffic
 // instead: per batch tile it stages the RHS strip in the per-thread
 // WorkspaceArena, runs the fused Schur chain on it while it is L2-resident
-// (core::schur_solve_staged_strip -- the same per-column arithmetic as the
-// batched solvers, hence bitwise-identical coefficients), then evaluates
+// (core::solve_strip -- the same per-column arithmetic as the batched
+// solvers, hence bitwise-identical coefficients), then evaluates
 // the splines at the displaced feet straight out of the arena-resident
 // strip. Only f itself is read and only the advected values are written;
 // the coefficient array never exists in main memory.
@@ -161,7 +161,10 @@ private:
         const std::size_t npts = m_points.extent(0);
         const auto wide = static_cast<std::size_t>(W);
         const std::size_t tile = m_tile;
-        const std::size_t tile_packs = tile / wide;
+        // The tile is a multiple of the pack width of the TU that resolved
+        // it (advection_plan.cpp), which may be narrower than this TU's W:
+        // size the strip for the ceil(cols / W) packs a tile stages.
+        const std::size_t tile_packs = (tile + wide - 1) / wide;
         // A transposed destination cannot take contiguous per-column
         // writes, so the evaluated tile is staged in an output strip and
         // scattered blockwise (contiguous tile-wide runs) instead.
@@ -191,11 +194,11 @@ private:
             const std::size_t packs = (cols + wide - 1) / wide;
             const std::size_t row_stride = packs * wide;
             // 1. Stage the RHS strip: contiguous row reads of f, tail
-            //    lanes zero-filled like the untiled SIMD drivers'.
+            //    lanes zero-filled like the staged SIMD driver's.
             gather_strip_from_rows(f, t.begin, cols, n, row_stride, bufd);
             // 2. Fused Schur chain on the L2-resident strip -- bitwise
             //    the coefficients the unfused build would have produced.
-            core::schur_solve_staged_strip<W>(s, buf, packs, UseSpmv);
+            core::solve_strip<W, UseSpmv>(s, buf, packs, 0, packs);
             // 3. Evaluate at the feet straight from the strip; stream
             //    only the advected values out.
             if (out_rowwise) {
@@ -249,14 +252,5 @@ private:
     int m_width = 1;
     std::size_t m_tile = 0;
 };
-
-/// Pure parse of a PSPL_ADVECT_FUSED-style value: "0"/"off"/"false" (any
-/// case) disable, anything else (including unset = nullptr) enables. The
-/// fused pipeline is the default; the toggle exists for ablation and
-/// fallback.
-bool fused_advect_enabled(const char* text);
-
-/// Live read of PSPL_ADVECT_FUSED.
-bool fused_advect_env();
 
 } // namespace pspl::advection

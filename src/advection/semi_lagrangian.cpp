@@ -32,31 +32,17 @@ BatchedAdvection1D::BatchedAdvection1D(bsplines::BSplineBasis basis_x,
         m_points(i) = pts[i];
     }
 
-    // Resolve the fused build->evaluate pipeline: Auto defers to the
-    // PSPL_ADVECT_FUSED toggle (unset -> on) and yields to an explicit
-    // fuse_transpose ablation request; On must find a fusable builder.
-    if (m_config.method == Method::Direct
-        && m_config.fuse_build_eval != Config::Fuse::Off) {
-        const bool wanted =
-                m_config.fuse_build_eval == Config::Fuse::On
-                || (!m_config.fuse_transpose && fused_advect_env());
-        if (wanted) {
-            AdvectionPlan plan(*m_builder, m_evaluator, m_points,
-                               m_velocities, m_dt);
-            if (plan.fusable()) {
-                m_plan.emplace(std::move(plan));
-                m_fused = true;
-            } else {
-                PSPL_EXPECT(m_config.fuse_build_eval != Config::Fuse::On,
-                            "BatchedAdvection1D: fuse_build_eval = On "
-                            "requires a fusable configuration (Direct "
-                            "method, non-Baseline version, "
-                            "Precision::Double)");
-            }
+    // The fused build->evaluate pipeline drives every fusable Direct
+    // configuration; everything else runs Algorithm 2.
+    if (m_config.method == Method::Direct) {
+        AdvectionPlan plan(*m_builder, m_evaluator, m_points, m_velocities,
+                           m_dt);
+        if (plan.fusable()) {
+            m_plan.emplace(std::move(plan));
         }
     }
 
-    if (!m_fused) {
+    if (!m_plan) {
         // Persistent scratch for every unfused step(): first-touched from
         // a parallel region so on NUMA systems the pages of each batch
         // slice land on the node of the thread that processes it (the

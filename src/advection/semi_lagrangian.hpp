@@ -35,21 +35,6 @@ public:
         Method method = Method::Direct;
         core::BuilderVersion version = core::BuilderVersion::FusedSpmv;
         core::IterativeSplineBuilder::Options iterative{};
-        /// Skip the two physical transposes of Algorithm 2 (the paper's
-        /// §V-C future-work idea): copy f contiguously into the coefficient
-        /// buffer and run the batched solve through a zero-copy transposed
-        /// view, so each RHS is a contiguous row. Direct method only.
-        bool fuse_transpose = false;
-        /// Fused build->evaluate pipeline (AdvectionPlan): build each tile
-        /// of spline coefficients in the workspace arena and evaluate at
-        /// the feet straight from the L2-resident strip, never writing the
-        /// coefficient array to memory. Auto consults PSPL_ADVECT_FUSED
-        /// (unset -> on) but yields to an explicit fuse_transpose request;
-        /// On forces the fused path (requires a fusable configuration:
-        /// Direct method, non-Baseline version, Precision::Double); Off
-        /// keeps the unfused Algorithm 2 pipeline.
-        enum class Fuse { Auto, On, Off };
-        Fuse fuse_build_eval = Fuse::Auto;
     };
 
     /// `velocities(j)` is the constant advection speed of row j; `dt` the
@@ -68,9 +53,11 @@ public:
     double dt() const { return m_dt; }
 
     /// Whether the fused build->evaluate pipeline (AdvectionPlan) is
-    /// driving step(): resolved once at construction from the config, the
-    /// PSPL_ADVECT_FUSED environment toggle and the builder's coverage.
-    bool fused_active() const { return m_fused; }
+    /// driving step(): resolved once at construction. The plan runs
+    /// exactly when the configuration is fusable (Direct method,
+    /// non-Baseline version, Precision::Double); Algorithm 2 runs
+    /// otherwise.
+    bool fused_active() const { return m_plan.has_value(); }
     /// The cached fused-pipeline plan, when fused_active().
     const std::optional<AdvectionPlan>& plan() const { return m_plan; }
 
@@ -97,7 +84,7 @@ public:
         profiling::ScopedRegion region("pspl_advection_step");
         iterative::SolveStats stats;
 
-        if (m_fused) {
+        if (m_plan) {
             // Fused build->evaluate pipeline: per batch tile, stage the
             // RHS strip in the workspace arena, solve, evaluate at the
             // feet from the L2-resident coefficients. No transposes, no
@@ -106,44 +93,19 @@ public:
             return stats;
         }
 
-        if (m_config.fuse_transpose
-            && m_config.method == Method::Direct) {
-            // Transpose-free variant: contiguous copy f -> eta, then solve
-            // through a zero-copy transposed view so each RHS is a
-            // contiguous row of eta. Replaces two strided transposes with
-            // one streaming copy.
-            const auto f_src = f;
-            const auto eta = m_eta;
-            parallel_for("pspl::advection::copy_f", RangePolicy<Exec>(nv()),
-                         [=](std::size_t j) {
-                             for (std::size_t i = 0; i < f_src.extent(1);
-                                  ++i) {
-                                 eta(j, i) = f_src(j, i);
-                             }
-                         });
-            if (profiling::enabled()) {
-                profiling::add_counters(
-                        "pspl::advection::copy_f",
-                        2.0 * static_cast<double>(nv())
-                                * static_cast<double>(nx())
-                                * static_cast<double>(sizeof(double)),
-                        0.0);
-            }
-            m_builder->template build_inplace<Exec>(transposed_view(m_eta));
+        // Algorithm 2 (Iterative, Baseline or reduced precision).
+        // 1. Transpose so the batch (v) index is contiguous.
+        transpose<Exec>("pspl::advection::transpose_fwd", f, m_ft);
+
+        // 2. Build spline coefficients in place, batched over v.
+        if (m_config.method == Method::Direct) {
+            m_builder->template build_inplace<Exec>(m_ft);
         } else {
-            // 1. Transpose so the batch (v) index is contiguous.
-            transpose<Exec>("pspl::advection::transpose_fwd", f, m_ft);
-
-            // 2. Build spline coefficients in place, batched over v.
-            if (m_config.method == Method::Direct) {
-                m_builder->template build_inplace<Exec>(m_ft);
-            } else {
-                stats = m_iterative_builder->build_inplace(m_ft);
-            }
-
-            // 3. Transpose coefficients back to the x-contiguous layout.
-            transpose<Exec>("pspl::advection::transpose_bwd", m_ft, m_eta);
+            stats = m_iterative_builder->build_inplace(m_ft);
         }
+
+        // 3. Transpose coefficients back to the x-contiguous layout.
+        transpose<Exec>("pspl::advection::transpose_bwd", m_ft, m_eta);
 
         // 4. Interpolate at the feet of the backward characteristics.
         const auto eta = m_eta;
@@ -194,7 +156,6 @@ private:
     std::optional<core::IterativeSplineBuilder> m_iterative_builder;
     core::SplineEvaluator m_evaluator;
     std::optional<AdvectionPlan> m_plan; ///< fused pipeline, when active
-    bool m_fused = false;
     View1D<double> m_points;
     // Scratch blocks reused across steps (allocated once, like the paper's
     // persistent device buffers).

@@ -21,14 +21,11 @@ class BatchedAdvection2D
 {
 public:
     struct Config {
-        core::BuilderVersion version = core::BuilderVersion::FusedSpmv;
-        bool fuse_transpose = false;
         /// Forwarded to both 1-D passes. When the fused build->evaluate
         /// pipeline is active on both, step() chains the passes through
         /// zero-copy transposed views and the whole Strang step runs with
         /// no physical transpose at all.
-        BatchedAdvection1D::Config::Fuse fuse_build_eval =
-                BatchedAdvection1D::Config::Fuse::Auto;
+        core::BuilderVersion version = core::BuilderVersion::FusedSpmv;
     };
 
     /// `vx_of_y(j)` is the x-speed on row y_j; `vy_of_x(i)` the y-speed on

@@ -108,7 +108,7 @@ void transpose_01(std::string_view label, const InView& in,
 /// strip[r * row_stride + c] and holds in(col0 + c, r). The reads sweep
 /// whole contiguous rows of `in` (DRAM-friendly); the strided writes stay
 /// inside the L2-resident strip. Lanes [cols, row_stride) of every row are
-/// zero-filled so tail packs match the untiled SIMD drivers' zero-filled
+/// zero-filled so tail packs match the staged SIMD driver's zero-filled
 /// dead lanes. Kernel-callable: runs inside one tile task of the fused
 /// advection dispatch.
 template <class InView>

@@ -35,6 +35,33 @@ enum class BuilderVersion {
 
 const char* to_string(BuilderVersion v);
 
+/// The fused chain a BuilderVersion selects: the corner-correction flavour
+/// (COO spmv, Listing 6, or dense gemv, Listing 4) and the pack width of
+/// the column chain (1 = one column at a time, otherwise this TU's native
+/// SIMD width). Baseline decodes as the spmv chain at width 1; only the
+/// reduced-precision pipeline, which has no multi-pass rung, reads it.
+struct FusedChain {
+    bool use_spmv;
+    int pack_width;
+};
+
+constexpr FusedChain fused_chain(BuilderVersion v)
+{
+    constexpr int native = simd_preferred_width<double>;
+    switch (v) {
+    case BuilderVersion::Fused:
+        return {false, 1};
+    case BuilderVersion::FusedSimd:
+        return {false, native};
+    case BuilderVersion::FusedSpmvSimd:
+        return {true, native};
+    case BuilderVersion::Baseline:
+    case BuilderVersion::FusedSpmv:
+        break;
+    }
+    return {true, 1};
+}
+
 namespace detail {
 
 /// Modeled per-column cost of the Q-solve, dispatching on the factor kind
@@ -133,7 +160,7 @@ inline void attribute_solve_cost(const SchurDeviceData& s,
     profiling::add_counters(kernel_label, total.bytes, total.flops);
 }
 
-/// Per-tile-size span attribution for the tiled drivers: records the timed
+/// Per-tile-size span attribution for tiled fused runs: records the timed
 /// launch once more under a "tile_w=<cols>" leaf carrying the same modeled
 /// cost, so report_json derives achieved bandwidth *per tile size* next to
 /// the per-kernel decomposition. Transient label: the interner copies it.
@@ -200,64 +227,12 @@ void solve_baseline(const SchurDeviceData& s, const BView& b,
     }
 }
 
-template <class Exec, class BView>
-void solve_fused(const SchurDeviceData& s, const BView& b, std::size_t batch)
-{
-    const auto b0 = subview(b, std::pair<std::size_t, std::size_t>(0, s.n0),
-                            ALL);
-    const auto b1 = subview(b, std::pair<std::size_t, std::size_t>(s.n0, s.n),
-                            ALL);
-    parallel_for("pspl::batched::SerialQsolve-Gemv", RangePolicy<Exec>(batch),
-                 [=](std::size_t i) {
-                     auto sub_b0 = subview(b0, ALL, i);
-                     solve_q_serial(s, sub_b0);
-                     if (s.k > 0) {
-                         auto sub_b1 = subview(b1, ALL, i);
-                         batched::SerialGemv<>::invoke(-1.0, s.lambda_dense,
-                                                       sub_b0, 1.0, sub_b1);
-                         batched::SerialGetrs<>::invoke(s.delta_lu,
-                                                        s.delta_ipiv, sub_b1);
-                         batched::SerialGemv<>::invoke(-1.0, s.beta_dense,
-                                                       sub_b1, 1.0, sub_b0);
-                     }
-                 });
-    attribute_solve_cost(s, "pspl::batched::SerialQsolve-Gemv", batch,
-                         /*use_spmv=*/false);
-}
-
-template <class Exec, class BView>
-void solve_fused_spmv(const SchurDeviceData& s, const BView& b,
-                      std::size_t batch)
-{
-    const auto b0 = subview(b, std::pair<std::size_t, std::size_t>(0, s.n0),
-                            ALL);
-    const auto b1 = subview(b, std::pair<std::size_t, std::size_t>(s.n0, s.n),
-                            ALL);
-    parallel_for("pspl::batched::SerialQsolve-Spmv", RangePolicy<Exec>(batch),
-                 [=](std::size_t i) {
-                     auto sub_b0 = subview(b0, ALL, i);
-                     solve_q_serial(s, sub_b0);
-                     if (s.k > 0) {
-                         auto sub_b1 = subview(b1, ALL, i);
-                         batched::SerialSpmvCoo::invoke(-1.0, s.lambda_coo,
-                                                        sub_b0, sub_b1);
-                         batched::SerialGetrs<>::invoke(s.delta_lu,
-                                                        s.delta_ipiv, sub_b1);
-                         batched::SerialSpmvCoo::invoke(-1.0, s.beta_coo,
-                                                        sub_b1, sub_b0);
-                     }
-                 });
-    attribute_solve_cost(s, "pspl::batched::SerialQsolve-Spmv", batch,
-                         /*use_spmv=*/true);
-}
-
 /// Strided span of packs with the rank-1 view interface the batched
-/// kernels expect. The SIMD solve stages batch columns into a pack buffer
-/// and runs every kernel pass on it with ValueType = simd<double, W>; the
-/// untiled path stages one chunk contiguously (step 1), the tiled path
-/// stages a whole row-major tile and walks one pack column of it (step =
-/// packs per tile). The serial kernels consume only data()/stride(0)/
-/// extent(), so both shapes go through the identical kernel code.
+/// kernels expect. The staged drivers gather batch columns into a
+/// row-major pack strip and walk one pack column of it (step = packs per
+/// strip row); the serial kernels consume only data()/stride(0)/extent(),
+/// so a pack column goes through the identical kernel code as a strided
+/// column subview.
 template <class T, int W>
 struct PackSpan {
     using value_type = simd<T, W>;
@@ -283,112 +258,149 @@ struct PackSpan {
     }
 };
 
-/// Algorithm-1 chain on one staged pack column (Q-solve, then the Schur
-/// correction). Shared verbatim by the untiled and tiled SIMD drivers --
-/// per-column arithmetic is what makes the two bitwise identical. Generic
-/// over the pack element type and the device-data flavour: the FP64 ladder
-/// instantiates (double, SchurDeviceData) exactly as before, and the
-/// mixed-precision pipeline drives float packs through SchurFloatFactors
-/// (whose COO blocks and factors are FP32, so every stage's arithmetic runs
-/// at the pack precision).
-template <int W, bool UseSpmv, class T, class SData>
-PSPL_FORCEINLINE_FUNCTION void
-solve_pack_column(const SData& s, const PackSpan<T, W>& b0,
-                  const PackSpan<T, W>& b1)
+} // namespace detail
+
+/// The Algorithm-1 chain on one right-hand side, split into its Q block
+/// `b0` (n0 rows) and Schur block `b1` (k rows): Q-solve, corner update,
+/// Schur getrs, corner update -- the paper's fused kernels (Listings 4 and
+/// 6), which differ only in the corner step. Generic over the rank-1 view
+/// type (a strided column subview or a PackSpan of staged packs) and over
+/// the device-data flavour: SchurDeviceData drives the FP64 ladder, and
+/// SchurFloatFactors the FP32 strips of the mixed-precision pipeline
+/// (whose factors and COO blocks are FP32, so every stage runs at the pack
+/// precision). Every fused driver runs this one chain per column, which is
+/// what makes them bitwise identical to each other.
+template <bool UseSpmv, class SData, class B0View, class B1View>
+PSPL_FORCEINLINE_FUNCTION void solve_column(const SData& s, const B0View& b0,
+                                            const B1View& b1)
 {
     solve_q_serial(s, b0);
     if (s.k > 0) {
         if constexpr (UseSpmv) {
-            batched::SerialSpmvCoo::invoke(T(-1), s.lambda_coo, b0, b1);
+            batched::SerialSpmvCoo::invoke(-1.0, s.lambda_coo, b0, b1);
         } else {
             batched::SerialGemv<>::invoke(-1.0, s.lambda_dense, b0, 1.0, b1);
         }
         batched::SerialGetrs<>::invoke(s.delta_lu, s.delta_ipiv, b1);
         if constexpr (UseSpmv) {
-            batched::SerialSpmvCoo::invoke(T(-1), s.beta_coo, b1, b0);
+            batched::SerialSpmvCoo::invoke(-1.0, s.beta_coo, b1, b0);
         } else {
             batched::SerialGemv<>::invoke(-1.0, s.beta_dense, b1, 1.0, b0);
         }
     }
 }
 
-/// SIMD-across-batch version of solve_fused / solve_fused_spmv: each
-/// iteration stages W adjacent RHS columns into a per-thread pack buffer,
-/// runs the whole Algorithm-1 chain on packs (the Q-solve recurrence then
-/// advances W independent columns per vector instruction instead of one),
-/// and scatters the result back. Tail chunks zero-fill their dead lanes.
-template <int W, bool UseSpmv, class Exec, class BView>
-void solve_fused_simd(const SchurDeviceData& s, const BView& b,
-                      std::size_t batch)
+/// Run the column chain on pack columns [c_begin, c_end) of a row-major
+/// staged strip: `buf` holds s.n rows of `packs` packs each. This is the
+/// one strip loop behind the staged SIMD builder driver, the fused
+/// advection pipeline (which evaluates splines straight from the
+/// L2-resident strip) and the FP32, super-pack and FP64-fallback strips of
+/// the mixed-precision pipeline. W = 1 is the scalar chain.
+template <int W, bool UseSpmv, class T, class SData>
+PSPL_FORCEINLINE_FUNCTION void solve_strip(const SData& s,
+                                           simd<T, W>* PSPL_RESTRICT buf,
+                                           std::size_t packs,
+                                           std::size_t c_begin,
+                                           std::size_t c_end)
 {
-    using Pack = simd<double, W>;
-    // Per-thread staging: one pack per matrix row per thread, carved out of
-    // the persistent workspace arena (no heap allocation per solve call;
-    // full and tail chunks share the same rows, so every chunk reuses one
-    // stable slot). The scratch guard tells the write-conflict detector
-    // that per-thread reuse of these rows across chunks is staging, not a
-    // cross-batch race.
-    WorkspaceArena& arena = host_workspace_arena();
-    arena.reserve(static_cast<std::size_t>(Exec::concurrency()),
-                  s.n * sizeof(Pack));
-    debug::ScratchGuard scratch(arena.data(), arena.size_bytes());
-    std::byte* const abase = arena.data();
-    const std::size_t astride = arena.slot_stride_bytes();
-    const std::string label = UseSpmv ? "pspl::batched::SerialQsolve-Spmv-Simd"
-                                      : "pspl::batched::SerialQsolve-Gemv-Simd";
-    for_each_batch_simd<W>(label, RangePolicy<Exec>(batch),
-                           [=](const BatchChunk<W>& chunk) {
-        PSPL_DEBUG_ASSERT(
-                chunk.begin + static_cast<std::size_t>(chunk.lanes) <= batch,
-                "solve_fused_simd: chunk outside batch range");
-        Pack* PSPL_RESTRICT buf = reinterpret_cast<Pack*>(
-                abase
-                + astride * static_cast<std::size_t>(Exec::thread_rank()));
-        simd_load_chunk<W>(b, 0, s.n, chunk.begin, chunk.lanes, buf);
-        const PackSpan<double, W> b0{buf, s.n0};
-        const PackSpan<double, W> b1{buf + s.n0, s.k};
-        solve_pack_column<W, UseSpmv>(s, b0, b1);
-        simd_store_chunk<W>(b, 0, s.n, chunk.begin, chunk.lanes, buf);
-    });
-    attribute_solve_cost(s, label, batch, UseSpmv);
+    static_assert(SimdLaneCount<W>,
+                  "solve_strip pack width must be a positive power of two "
+                  "(W = 1 is the scalar fused chain)");
+    for (std::size_t c = c_begin; c < c_end; ++c) {
+        const detail::PackSpan<T, W> b0{buf + c, s.n0, packs};
+        const detail::PackSpan<T, W> b1{
+                s.k > 0 ? buf + s.n0 * packs + c : buf, s.k, packs};
+        solve_column<UseSpmv>(s, b0, b1);
+    }
 }
 
-/// Tile-resident SIMD solve: stage a whole (n, tile) block of RHS columns
-/// into a per-thread arena slot (row-major in packs, so the loads sweep
-/// long contiguous runs of `b` instead of one isolated pack per row), run
-/// the full assemble -> factor-apply -> Schur-correction chain on every
-/// pack column of the tile while it is L2-resident, then scatter the tile
-/// back. Tiles are multiples of W columns, so chunk boundaries -- and
-/// therefore results, bitwise -- match the untiled path.
+namespace detail {
+
+/// Tile width a fused driver actually runs: the requested width (one pack
+/// when untiled), never wider than the batch rounded up to whole packs.
+/// This is also the width the "tile_w=" span records.
+inline std::size_t run_tile_cols(std::size_t tile, std::size_t batch,
+                                 std::size_t wide)
+{
+    const std::size_t want = tile > 0 ? tile : wide;
+    const std::size_t batch_cols = (batch + wide - 1) / wide * wide;
+    return batch_cols > 0 && want > batch_cols ? batch_cols : want;
+}
+
+/// In-place fused solve, one column at a time: each thread walks the
+/// columns of its batch tiles straight in the RHS block. Tiling groups the
+/// columns a thread visits into L2-sized spans (bounding the factor
+/// re-sweep distance) without changing any per-column arithmetic; an
+/// untiled run (tile = 0) dispatches one column per iteration.
+template <bool UseSpmv, class Exec, class BView>
+void solve_inplace(const SchurDeviceData& s, const BView& b,
+                   std::size_t batch, std::size_t tile)
+{
+    const auto b0 = subview(b, std::pair<std::size_t, std::size_t>(0, s.n0),
+                            ALL);
+    const auto b1 = subview(b, std::pair<std::size_t, std::size_t>(s.n0, s.n),
+                            ALL);
+    const char* label = UseSpmv ? "pspl::batched::SerialQsolve-Spmv"
+                                : "pspl::batched::SerialQsolve-Gemv";
+    const std::size_t cols = run_tile_cols(tile, batch, 1);
+    profiling::Timer timer;
+    for_each_batch_tile(label, RangePolicy<Exec>(batch), cols,
+                        [=](const BatchTile& t) {
+        for (std::size_t i = t.begin; i < t.end; ++i) {
+            const auto x0 = subview(b0, ALL, i);
+            if (s.k > 0) {
+                solve_column<UseSpmv>(s, x0, subview(b1, ALL, i));
+            } else {
+                // No Schur block: b1 is empty, and its column views would
+                // point past the end of b.
+                solve_q_serial(s, x0);
+            }
+        }
+    });
+    attribute_solve_cost(s, label, batch, UseSpmv);
+    if (tile > 0) {
+        attribute_tile_span(s, batch, UseSpmv, cols, timer.seconds());
+    }
+}
+
+/// Staged SIMD solve: gather a (n, tile) block of RHS columns into a
+/// per-thread arena slot (row-major in packs, so the loads sweep long
+/// contiguous runs of `b` instead of one isolated pack per row), run the
+/// column chain on every pack column while the tile is L2-resident (the
+/// Q-solve recurrence then advances W columns per vector instruction),
+/// and scatter the tile back. Tail lanes are zero-filled. An untiled run
+/// (tile = 0) stages one pack per tile. Tiles are multiples of W columns,
+/// so pack boundaries -- and therefore results, bitwise -- do not depend
+/// on the tile width.
 template <int W, bool UseSpmv, class Exec, class BView>
-void solve_fused_simd_tiled(const SchurDeviceData& s, const BView& b,
-                            std::size_t batch, std::size_t tile)
+void solve_staged(const SchurDeviceData& s, const BView& b,
+                  std::size_t batch, std::size_t tile)
 {
     using Pack = simd<double, W>;
     const auto wide = static_cast<std::size_t>(W);
-    PSPL_DEBUG_ASSERT(tile >= wide && tile % wide == 0,
-                      "solve_fused_simd_tiled: tile must be a positive "
-                      "multiple of the pack width");
-    // Never stage more than the (pack-rounded) batch itself.
-    const std::size_t batch_cols = (batch + wide - 1) / wide * wide;
-    const std::size_t eff_tile = tile < batch_cols ? tile : batch_cols;
-    const std::size_t tile_packs = eff_tile / wide;
+    PSPL_DEBUG_ASSERT(tile % wide == 0,
+                      "solve_staged: tile must be a multiple of the pack "
+                      "width");
+    const std::size_t cols = run_tile_cols(tile, batch, wide);
+    // Per-thread staging carved out of the persistent workspace arena (no
+    // heap allocation per solve call). The scratch guard tells the
+    // write-conflict detector that per-thread reuse of the slot across
+    // tiles is staging, not a cross-batch race.
     WorkspaceArena& arena = host_workspace_arena();
     arena.reserve(static_cast<std::size_t>(Exec::concurrency()),
-                  s.n * tile_packs * sizeof(Pack));
+                  s.n * (cols / wide) * sizeof(Pack));
     debug::ScratchGuard scratch(arena.data(), arena.size_bytes());
     std::byte* const abase = arena.data();
     const std::size_t astride = arena.slot_stride_bytes();
-    const std::string label = UseSpmv ? "pspl::batched::SerialQsolve-Spmv-Simd"
-                                      : "pspl::batched::SerialQsolve-Gemv-Simd";
+    const char* label = UseSpmv ? "pspl::batched::SerialQsolve-Spmv-Simd"
+                                : "pspl::batched::SerialQsolve-Gemv-Simd";
     profiling::Timer timer;
-    for_each_batch_tile(label, RangePolicy<Exec>(batch), eff_tile,
+    for_each_batch_tile(label, RangePolicy<Exec>(batch), cols,
                         [=](const BatchTile& t) {
         Pack* PSPL_RESTRICT buf = reinterpret_cast<Pack*>(
                 abase
                 + astride * static_cast<std::size_t>(Exec::thread_rank()));
-        const std::size_t cols = t.cols();
-        const std::size_t packs = (cols + wide - 1) / wide;
+        const std::size_t packs = (t.cols() + wide - 1) / wide;
         // Gather phase: row-major staging -- each matrix row contributes
         // one contiguous (cols * 8 B) run of the RHS block, which is what
         // engages the hardware stream prefetcher.
@@ -402,15 +414,7 @@ void solve_fused_simd_tiled(const SchurDeviceData& s, const BView& b,
                 row[c] = simd_load_lanes<W>(b, r, j0, lanes);
             }
         }
-        // Solve phase: every pipeline stage runs on the staged tile while
-        // it is cache-resident, one pack column at a time (stride =
-        // packs-per-tile walks down one column of the row-major tile).
-        for (std::size_t c = 0; c < packs; ++c) {
-            const PackSpan<double, W> b0{buf + c, s.n0, packs};
-            const PackSpan<double, W> b1{
-                    s.k > 0 ? buf + s.n0 * packs + c : buf, s.k, packs};
-            solve_pack_column<W, UseSpmv>(s, b0, b1);
-        }
+        solve_strip<W, UseSpmv>(s, buf, packs, 0, packs);
         // Scatter phase: mirror of the gather.
         for (std::size_t r = 0; r < s.n; ++r) {
             const Pack* PSPL_RESTRICT row = buf + r * packs;
@@ -424,61 +428,17 @@ void solve_fused_simd_tiled(const SchurDeviceData& s, const BView& b,
         }
     });
     attribute_solve_cost(s, label, batch, UseSpmv);
-    attribute_tile_span(s, batch, UseSpmv, eff_tile, timer.seconds());
-}
-
-/// Tile-resident scalar fused solve: the fused per-column chain already
-/// keeps one column's working set live across all stages; tiling groups
-/// the columns a thread visits into L2-sized spans (bounding the factor
-/// re-sweep distance) without changing any per-column arithmetic, so the
-/// results are bitwise identical to the untiled dispatch.
-template <bool UseSpmv, class Exec, class BView>
-void solve_fused_scalar_tiled(const SchurDeviceData& s, const BView& b,
-                              std::size_t batch, std::size_t tile)
-{
-    const auto b0 = subview(b, std::pair<std::size_t, std::size_t>(0, s.n0),
-                            ALL);
-    const auto b1 = subview(b, std::pair<std::size_t, std::size_t>(s.n0, s.n),
-                            ALL);
-    const char* label = UseSpmv ? "pspl::batched::SerialQsolve-Spmv"
-                                : "pspl::batched::SerialQsolve-Gemv";
-    profiling::Timer timer;
-    for_each_batch_tile(label, RangePolicy<Exec>(batch), tile,
-                        [=](const BatchTile& t) {
-        for (std::size_t i = t.begin; i < t.end; ++i) {
-            auto sub_b0 = subview(b0, ALL, i);
-            solve_q_serial(s, sub_b0);
-            if (s.k > 0) {
-                auto sub_b1 = subview(b1, ALL, i);
-                if constexpr (UseSpmv) {
-                    batched::SerialSpmvCoo::invoke(-1.0, s.lambda_coo,
-                                                   sub_b0, sub_b1);
-                } else {
-                    batched::SerialGemv<>::invoke(-1.0, s.lambda_dense,
-                                                  sub_b0, 1.0, sub_b1);
-                }
-                batched::SerialGetrs<>::invoke(s.delta_lu, s.delta_ipiv,
-                                               sub_b1);
-                if constexpr (UseSpmv) {
-                    batched::SerialSpmvCoo::invoke(-1.0, s.beta_coo, sub_b1,
-                                                   sub_b0);
-                } else {
-                    batched::SerialGemv<>::invoke(-1.0, s.beta_dense, sub_b1,
-                                                  1.0, sub_b0);
-                }
-            }
-        }
-    });
-    attribute_solve_cost(s, label, batch, UseSpmv);
-    attribute_tile_span(s, batch, UseSpmv, tile, timer.seconds());
+    if (tile > 0) {
+        attribute_tile_span(s, batch, UseSpmv, cols, timer.seconds());
+    }
 }
 
 } // namespace detail
 
 /// Explicit-width SIMD batched solve (the ablation entry point): packs of W
 /// adjacent columns through the fused (dense-gemv) or fused-spmv chain.
-/// The tile policy (PSPL_TILE by default) selects the L2-blocked
-/// tile-resident driver or the untiled legacy dispatch.
+/// The tile policy (PSPL_TILE by default) selects the L2-blocked tile
+/// width; "off" stages one pack at a time.
 template <int W, class Exec = DefaultExecutionSpace, class BView>
 void schur_solve_batched_simd(const SchurDeviceData& s, const BView& b,
                               bool use_spmv = true,
@@ -499,18 +459,10 @@ void schur_solve_batched_simd(const SchurDeviceData& s, const BView& b,
     const std::size_t batch = b.extent(1);
     const std::size_t tile = policy.tile_cols(
             s.n, batch, sizeof(double), static_cast<std::size_t>(W));
-    if (tile > 0) {
-        if (use_spmv) {
-            detail::solve_fused_simd_tiled<W, true, Exec>(s, b, batch, tile);
-        } else {
-            detail::solve_fused_simd_tiled<W, false, Exec>(s, b, batch, tile);
-        }
-        return;
-    }
     if (use_spmv) {
-        detail::solve_fused_simd<W, true, Exec>(s, b, batch);
+        detail::solve_staged<W, true, Exec>(s, b, batch, tile);
     } else {
-        detail::solve_fused_simd<W, false, Exec>(s, b, batch);
+        detail::solve_staged<W, false, Exec>(s, b, batch, tile);
     }
 }
 
@@ -523,35 +475,6 @@ inline void attribute_schur_solve_cost(const SchurDeviceData& s,
                                        std::size_t batch, bool use_spmv)
 {
     detail::attribute_solve_cost(s, label, batch, use_spmv);
-}
-
-/// Run the fused Schur chain in place on an arena-staged row-major pack
-/// strip: `buf` holds s.n rows of `packs` packs each (the gather layout of
-/// the tile-resident drivers), and every pack column is sent through the
-/// same solve_pack_column chain those drivers use -- per-column arithmetic,
-/// and therefore results, are bitwise identical to schur_solve_batched on
-/// the equivalent (n, batch) block. Exposed for pipelines that stage their
-/// own tiles and keep consuming the coefficients while they are L2-resident
-/// (the fused advection driver evaluates splines straight from the strip).
-template <int W>
-PSPL_INLINE_FUNCTION void
-schur_solve_staged_strip(const SchurDeviceData& s,
-                         simd<double, W>* PSPL_RESTRICT buf,
-                         std::size_t packs, bool use_spmv)
-{
-    static_assert(SimdLaneCount<W>,
-                  "schur_solve_staged_strip pack width must be a positive "
-                  "power of two (W = 1 is the scalar fused chain)");
-    for (std::size_t c = 0; c < packs; ++c) {
-        const detail::PackSpan<double, W> b0{buf + c, s.n0, packs};
-        const detail::PackSpan<double, W> b1{
-                s.k > 0 ? buf + s.n0 * packs + c : buf, s.k, packs};
-        if (use_spmv) {
-            detail::solve_pack_column<W, true>(s, b0, b1);
-        } else {
-            detail::solve_pack_column<W, false>(s, b0, b1);
-        }
-    }
 }
 
 /// Solve A x = b in place for every column of `b` (shape (n, batch)) with
@@ -572,38 +495,23 @@ void schur_solve_batched(const SchurDeviceData& s, const BView& b,
                   "schur_solve_batched consumes an FP64 block (the FP32 "
                   "path is the mixed-precision driver in "
                   "core/refinement.hpp)");
-    constexpr int native_w = simd_preferred_width<double>;
     const std::size_t batch = b.extent(1);
-    const std::size_t scalar_tile =
-            policy.tile_cols(s.n, batch, sizeof(double), 1);
-    switch (version) {
-    case BuilderVersion::Baseline:
+    if (version == BuilderVersion::Baseline) {
         detail::solve_baseline<Exec>(s, b, batch);
-        break;
-    case BuilderVersion::Fused:
-        if (scalar_tile > 0) {
-            detail::solve_fused_scalar_tiled<false, Exec>(s, b, batch,
-                                                          scalar_tile);
-        } else {
-            detail::solve_fused<Exec>(s, b, batch);
-        }
-        break;
-    case BuilderVersion::FusedSpmv:
-        if (scalar_tile > 0) {
-            detail::solve_fused_scalar_tiled<true, Exec>(s, b, batch,
-                                                         scalar_tile);
-        } else {
-            detail::solve_fused_spmv<Exec>(s, b, batch);
-        }
-        break;
-    case BuilderVersion::FusedSimd:
-        schur_solve_batched_simd<native_w, Exec>(s, b, /*use_spmv=*/false,
+        return;
+    }
+    const FusedChain chain = fused_chain(version);
+    if (chain.pack_width > 1) {
+        constexpr int native_w = simd_preferred_width<double>;
+        schur_solve_batched_simd<native_w, Exec>(s, b, chain.use_spmv,
                                                  policy);
-        break;
-    case BuilderVersion::FusedSpmvSimd:
-        schur_solve_batched_simd<native_w, Exec>(s, b, /*use_spmv=*/true,
-                                                 policy);
-        break;
+        return;
+    }
+    const std::size_t tile = policy.tile_cols(s.n, batch, sizeof(double), 1);
+    if (chain.use_spmv) {
+        detail::solve_inplace<true, Exec>(s, b, batch, tile);
+    } else {
+        detail::solve_inplace<false, Exec>(s, b, batch, tile);
     }
 }
 

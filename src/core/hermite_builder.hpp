@@ -64,8 +64,7 @@ public:
                     "build_inplace: RHS rows must equal nbasis");
         profiling::ScopedRegion region("pspl_splines_solve_hermite");
         if (m_precision != Precision::Double) {
-            const bool use_spmv = m_version != BuilderVersion::Fused
-                                  && m_version != BuilderVersion::FusedSimd;
+            const bool use_spmv = fused_chain(m_version).use_spmv;
             solve_refined_batched<Exec>(*m_solver, b, m_precision, {},
                                         TilePolicy::from_env(), use_spmv);
             return;

@@ -262,32 +262,6 @@ scatter_row_add_widen(double* PSPL_RESTRICT dst,
     }
 }
 
-/// Run the FP32 fused chain on pack columns [c_begin, c_end) of a
-/// row-major staged tile of `packs` float packs per row.
-template <int WF, bool UseSpmv>
-PSPL_FORCEINLINE_FUNCTION void
-solve_f32_packs(const SchurFloatFactors& sf, float* PSPL_RESTRICT xf,
-                std::size_t packs, std::size_t c_begin, std::size_t c_end)
-{
-    using FPack = simd<float, WF>;
-    FPack* PSPL_RESTRICT fp = reinterpret_cast<FPack*>(xf);
-    for (std::size_t c = c_begin; c < c_end; ++c) {
-        const PackSpan<float, WF> b0{fp + c, sf.n0, packs};
-        const PackSpan<float, WF> b1{
-                sf.k > 0 ? fp + sf.n0 * packs + c : fp, sf.k, packs};
-        solve_pack_column<WF, UseSpmv>(sf, b0, b1);
-    }
-}
-
-/// Whole-tile convenience form (the pure-FP32 pipeline).
-template <int WF, bool UseSpmv>
-PSPL_FORCEINLINE_FUNCTION void solve_f32_packs(const SchurFloatFactors& sf,
-                                               float* PSPL_RESTRICT xf,
-                                               std::size_t packs)
-{
-    solve_f32_packs<WF, UseSpmv>(sf, xf, packs, 0, packs);
-}
-
 /// One tile of the pure-FP32 pipeline: gather-narrow straight into the
 /// FP32 staging buffer (4-byte elements -- this is why Single tiles are
 /// twice as wide as FP64 ones), solve, scatter.
@@ -311,7 +285,8 @@ solve_single_tile(const SchurFloatFactors& sf, const SrcView& src,
             row[j] = 0.0f;
         }
     }
-    solve_f32_packs<wf, UseSpmv>(sf, xf, tc / wf);
+    solve_strip<wf, UseSpmv>(sf, reinterpret_cast<simd<float, wf>*>(xf),
+                             tc / wf, 0, tc / wf);
     for (std::size_t r = 0; r < n; ++r) {
         const float* PSPL_RESTRICT row = xf + r * tc;
         if constexpr (std::is_same_v<DstScalar, double>) {
@@ -441,26 +416,23 @@ PSPL_FORCEINLINE_FUNCTION void solve_mixed_tile(
         // staged tile outgrows L2 (measured ~15% over per-pack order,
         // plus the factor arrays are traversed once per strip instead of
         // once per pack). Partial tail strips take the per-pack path.
-        const auto solve_strip = [&](float* PSPL_RESTRICT buf) {
+        const auto solve_f32 = [&](float* PSPL_RESTRICT buf) {
             constexpr int wfs = static_cast<int>(strip_cols);
             if (tc % strip_cols == 0 && scols == strip_cols) {
-                using SPack = simd<float, wfs>;
-                const std::size_t spacks = pitch / strip_cols;
-                SPack* PSPL_RESTRICT sp = reinterpret_cast<SPack*>(buf);
                 const std::size_t c = c0 / strip_cols;
-                const PackSpan<float, wfs> b0{sp + c, sf.n0, spacks};
-                const PackSpan<float, wfs> b1{
-                        sf.k > 0 ? sp + sf.n0 * spacks + c : sp, sf.k,
-                        spacks};
-                solve_pack_column<wfs, UseSpmv>(sf, b0, b1);
+                solve_strip<wfs, UseSpmv>(
+                        sf, reinterpret_cast<simd<float, wfs>*>(buf),
+                        pitch / strip_cols, c, c + 1);
             } else {
-                solve_f32_packs<wf, UseSpmv>(sf, buf, fpacks, p0, p1);
+                solve_strip<wf, UseSpmv>(
+                        sf, reinterpret_cast<simd<float, wf>*>(buf), fpacks,
+                        p0, p1);
             }
         };
 
         // Initial FP32 solve of the strip.
         profiling::Timer t_f32;
-        solve_strip(xf);
+        solve_f32(xf);
         sec_f32 += t_f32.seconds();
 
         // First fused residual pass: r = b - A * widen(xf); writes the
@@ -483,7 +455,7 @@ PSPL_FORCEINLINE_FUNCTION void solve_mixed_tile(
         int iters = 0;
         if (!converged && rel * rel <= target && max_iters >= 1) {
             profiling::Timer t_corr;
-            solve_strip(rf);
+            solve_f32(rf);
             sec_f32 += t_corr.seconds();
             iters = 1;
             pending = true;
@@ -505,7 +477,7 @@ PSPL_FORCEINLINE_FUNCTION void solve_mixed_tile(
             double prev = rel;
             while (!converged && iters < max_iters) {
                 profiling::Timer t_corr;
-                solve_strip(rf);
+                solve_f32(rf);
                 sec_f32 += t_corr.seconds();
                 profiling::Timer t_upd;
                 refine_detail::tile_accumulate_widen(xd, rs, n, pitch, scols);
@@ -526,7 +498,7 @@ PSPL_FORCEINLINE_FUNCTION void solve_mixed_tile(
                 // where one more correction lands.
                 if (iters < max_iters && rel * (rel / prev) <= target) {
                     profiling::Timer t_fin;
-                    solve_strip(rf);
+                    solve_f32(rf);
                     sec_f32 += t_fin.seconds();
                     ++iters;
                     pending = true;
@@ -549,18 +521,10 @@ PSPL_FORCEINLINE_FUNCTION void solve_mixed_tile(
                     xr[j] = static_cast<double>(br[j]);
                 }
             }
-            using DPack = simd<double, W>;
-            DPack* PSPL_RESTRICT dp = reinterpret_cast<DPack*>(x);
-            const std::size_t dpacks = pitch / static_cast<std::size_t>(W);
-            const std::size_t d0 = c0 / static_cast<std::size_t>(W);
-            const std::size_t d1 = (c0 + scols) / static_cast<std::size_t>(W);
-            for (std::size_t c = d0; c < d1; ++c) {
-                const PackSpan<double, W> b0p{dp + c, sd.n0, dpacks};
-                const PackSpan<double, W> b1p{
-                        sd.k > 0 ? dp + sd.n0 * dpacks + c : dp, sd.k,
-                        dpacks};
-                solve_pack_column<W, UseSpmv>(sd, b0p, b1p);
-            }
+            const auto wide = static_cast<std::size_t>(W);
+            solve_strip<W, UseSpmv>(sd, reinterpret_cast<simd<double, W>*>(x),
+                                    pitch / wide, c0 / wide,
+                                    (c0 + scols) / wide);
         }
         if (iters > iters_max) {
             iters_max = iters;

@@ -67,7 +67,7 @@ struct SchurDeviceData {
 /// narrowing the host FP64 factors (plus precomputed reciprocal diagonals
 /// for the tridiagonal kinds, so the FP32 sweeps run divide-free at FMA
 /// latency). Same member names as SchurDeviceData so the value-type-generic
-/// solve chain -- solve_q_serial, solve_pack_column -- consumes either
+/// solve chain -- solve_q_serial, solve_column -- consumes either
 /// struct through one template. Used by the mixed/single-precision pipeline
 /// (src/core/refinement.hpp); the FP64 ladder never touches it.
 struct SchurFloatFactors {

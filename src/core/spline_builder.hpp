@@ -93,8 +93,7 @@ public:
             // Reduced-precision pipeline: FP32 fused solve (+ FP64
             // refinement for Mixed). The kernel version only decides the
             // corner-correction flavour; the chain is always fused+SIMD.
-            const bool use_spmv = m_version != BuilderVersion::Fused
-                                  && m_version != BuilderVersion::FusedSimd;
+            const bool use_spmv = fused_chain(m_version).use_spmv;
             m_last_refine = solve_refined_batched<Exec>(
                     *m_solver, b, m_precision, m_refine_opts, tile_policy(),
                     use_spmv);

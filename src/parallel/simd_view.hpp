@@ -63,64 +63,4 @@ simd_store_lanes(const simd<std::remove_cv_t<typename V::value_type>, W>& x,
     x.store_partial(p, stride, lanes);
 }
 
-/// Stage rows [row0, row0 + nrows) x batch columns [j0, j0 + lanes) of `b`
-/// into a contiguous pack buffer, one pack per row. The batched-serial
-/// kernels then run on the buffer with unit stride, entirely in cache.
-template <int W, BatchBlockView BView, SimdPackable T>
-PSPL_INLINE_FUNCTION void simd_load_chunk(const BView& b, std::size_t row0,
-                                          std::size_t nrows, std::size_t j0,
-                                          int lanes,
-                                          simd<T, W>* PSPL_RESTRICT buf)
-{
-    PSPL_DEBUG_ASSERT(row0 + nrows <= b.extent(0) && lanes >= 1 && lanes <= W
-                              && j0 + static_cast<std::size_t>(lanes)
-                                         <= b.extent(1),
-                      "simd_load_chunk: chunk outside block extents");
-    const auto stride = static_cast<std::ptrdiff_t>(b.stride(1));
-    if (lanes == W) {
-        if (stride == 1) {
-            for (std::size_t r = 0; r < nrows; ++r) {
-                buf[r] = simd<T, W>::load(&b(row0 + r, j0));
-            }
-        } else {
-            for (std::size_t r = 0; r < nrows; ++r) {
-                buf[r] = simd<T, W>::load(&b(row0 + r, j0), stride);
-            }
-        }
-        return;
-    }
-    for (std::size_t r = 0; r < nrows; ++r) {
-        buf[r] = simd<T, W>::load_partial(&b(row0 + r, j0), stride, lanes);
-    }
-}
-
-/// Inverse of simd_load_chunk: write the live lanes back into the block.
-template <int W, BatchBlockView BView, SimdPackable T>
-PSPL_INLINE_FUNCTION void simd_store_chunk(const BView& b, std::size_t row0,
-                                           std::size_t nrows, std::size_t j0,
-                                           int lanes,
-                                           const simd<T, W>* PSPL_RESTRICT buf)
-{
-    PSPL_DEBUG_ASSERT(row0 + nrows <= b.extent(0) && lanes >= 1 && lanes <= W
-                              && j0 + static_cast<std::size_t>(lanes)
-                                         <= b.extent(1),
-                      "simd_store_chunk: chunk outside block extents");
-    const auto stride = static_cast<std::ptrdiff_t>(b.stride(1));
-    if (lanes == W) {
-        if (stride == 1) {
-            for (std::size_t r = 0; r < nrows; ++r) {
-                buf[r].store(&b(row0 + r, j0));
-            }
-        } else {
-            for (std::size_t r = 0; r < nrows; ++r) {
-                buf[r].store(&b(row0 + r, j0), stride);
-            }
-        }
-        return;
-    }
-    for (std::size_t r = 0; r < nrows; ++r) {
-        buf[r].store_partial(&b(row0 + r, j0), stride, lanes);
-    }
-}
-
 } // namespace pspl

@@ -49,7 +49,6 @@ VlasovPoisson1D1V::VlasovPoisson1D1V(bsplines::BSplineBasis basis_x,
                 "VlasovPoisson1D1V: both bases must be periodic");
     advection::BatchedAdvection1D::Config cfg1;
     cfg1.version = config.version;
-    cfg1.fuse_transpose = config.fuse_transpose;
 
     const std::size_t nx_ = basis_x.nbasis();
     const std::size_t nv_ = basis_v.nbasis();

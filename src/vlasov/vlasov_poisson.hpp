@@ -37,7 +37,6 @@ class VlasovPoisson1D1V
 public:
     struct Config {
         core::BuilderVersion version = core::BuilderVersion::FusedSpmv;
-        bool fuse_transpose = false;
         /// Use the FFT-based field solve instead of the quadrature one
         /// (uniform x grids only; GYSELA's Poisson solver is FFT-based).
         bool spectral_poisson = false;

@@ -219,32 +219,6 @@ TEST(Advection, BuilderVersionsGiveIdenticalDynamics)
     }
 }
 
-TEST(Advection, FusedTransposeMatchesStandardPath)
-{
-    // The transpose-free variant (zero-copy transposed view, paper §V-C
-    // future work) must be bit-identical to the standard Algorithm 2 path.
-    const auto basis = BSplineBasis::uniform(3, 64, 0.0, 1.0);
-    const auto v = uniform_velocities(5, -1.5, 1.5);
-    const double dt = 0.011;
-
-    BatchedAdvection1D standard(basis, v, dt);
-    BatchedAdvection1D::Config fused_cfg;
-    fused_cfg.fuse_transpose = true;
-    BatchedAdvection1D fused(basis, v, dt, fused_cfg);
-
-    auto f1 = initial_condition(standard);
-    auto f2 = clone(f1);
-    for (int s = 0; s < 4; ++s) {
-        standard.step(f1);
-        fused.step(f2);
-    }
-    for (std::size_t j = 0; j < standard.nv(); ++j) {
-        for (std::size_t i = 0; i < standard.nx(); ++i) {
-            EXPECT_DOUBLE_EQ(f1(j, i), f2(j, i));
-        }
-    }
-}
-
 TEST(TransposedView, SharesDataAndSwapsIndices)
 {
     View2D<double> m("m", 3, 5);

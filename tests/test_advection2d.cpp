@@ -166,33 +166,6 @@ TEST(Advection2D, ZeroVelocityIsIdentity)
     }
 }
 
-TEST(Advection2D, FusedTransposeConfigMatchesStandard)
-{
-    const std::size_t n = 48;
-    const auto basis = BSplineBasis::uniform(3, n, -1.0, 1.0);
-    View1D<double> vx("vx", n);
-    View1D<double> vy("vy", n);
-    for (std::size_t k = 0; k < n; ++k) {
-        vx(k) = 0.3;
-        vy(k) = -0.2;
-    }
-    BatchedAdvection2D std_adv(basis, basis, vx, vy, 0.04);
-    BatchedAdvection2D::Config cfg;
-    cfg.fuse_transpose = true;
-    BatchedAdvection2D fused_adv(basis, basis, vx, vy, 0.04, cfg);
-    auto f1 = blob_field(std_adv, 0.0, 0.3);
-    auto f2 = clone(f1);
-    for (int s = 0; s < 3; ++s) {
-        std_adv.step(f1);
-        fused_adv.step(f2);
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-        for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_DOUBLE_EQ(f1(j, i), f2(j, i));
-        }
-    }
-}
-
 TEST(Advection2D, RejectsMismatchedVelocityExtents)
 {
     const auto bx = BSplineBasis::uniform(3, 16, 0.0, 1.0);

@@ -1,9 +1,11 @@
 // Tests for the fused build->evaluate advection pipeline (AdvectionPlan):
-// configuration resolution (config field, PSPL_ADVECT_FUSED toggle,
-// coverage fallbacks), bitwise identity with the unfused Algorithm 2 path
-// at Precision::Double across degrees / grids / builder versions /
-// execution spaces, the shifted strip-evaluator entry points, and the
-// zero-setup guarantee of the cached plan.
+// path selection (the plan runs exactly for fusable configurations),
+// bitwise identity with an Algorithm 2 oracle at Precision::Double across
+// degrees / grids / builder versions / execution spaces, the shifted
+// strip-evaluator entry points, and the zero-setup guarantee of the
+// cached plan.
+#include "algorithm2_oracle.hpp"
+
 #include "advection/advection_plan.hpp"
 #include "advection/semi_lagrangian.hpp"
 #include "advection/semi_lagrangian_2d.hpp"
@@ -89,13 +91,11 @@ View2D<double> initial_condition(const BatchedAdvection1D& adv)
 }
 
 /// The fused pipeline only covers the FP64 ladder; pin it so the identity
-/// assertions hold regardless of the suite-wide PSPL_PRECISION leg, and
-/// clear the toggle so Auto means the built-in default.
+/// assertions hold regardless of the suite-wide PSPL_PRECISION leg.
 class FusedAdvection : public ::testing::Test
 {
 protected:
     ScopedEnv m_precision{"PSPL_PRECISION", "double"};
-    ScopedEnv m_toggle{"PSPL_ADVECT_FUSED", nullptr};
 };
 
 TEST_F(FusedAdvection, ActiveByDefaultForDirectFusedDouble)
@@ -115,70 +115,10 @@ TEST_F(FusedAdvection, ActiveByDefaultForDirectFusedDouble)
     EXPECT_GT(plan.slot_bytes(true), plan.slot_bytes(false));
 }
 
-TEST_F(FusedAdvection, EnvToggleDisables)
-{
-    const auto basis = BSplineBasis::uniform(3, 64, 0.0, 1.0);
-    const auto v = uniform_velocities(5, -1.0, 1.0);
-    {
-        ScopedEnv off("PSPL_ADVECT_FUSED", "0");
-        BatchedAdvection1D adv(basis, v, 0.01);
-        EXPECT_FALSE(adv.fused_active());
-    }
-    {
-        ScopedEnv off("PSPL_ADVECT_FUSED", "OFF");
-        BatchedAdvection1D adv(basis, v, 0.01);
-        EXPECT_FALSE(adv.fused_active());
-    }
-    {
-        // Explicit On overrides the environment kill switch? No: On is a
-        // code-level demand, the env is the operator's; config wins.
-        ScopedEnv off("PSPL_ADVECT_FUSED", "off");
-        BatchedAdvection1D::Config cfg;
-        cfg.fuse_build_eval = BatchedAdvection1D::Config::Fuse::On;
-        BatchedAdvection1D adv(basis, v, 0.01, cfg);
-        EXPECT_TRUE(adv.fused_active());
-    }
-}
-
-TEST(FusedAdvectionParse, ToggleSpellings)
-{
-    EXPECT_TRUE(advection::fused_advect_enabled(nullptr));
-    EXPECT_TRUE(advection::fused_advect_enabled(""));
-    EXPECT_TRUE(advection::fused_advect_enabled("1"));
-    EXPECT_TRUE(advection::fused_advect_enabled("on"));
-    EXPECT_TRUE(advection::fused_advect_enabled("banana"));
-    EXPECT_FALSE(advection::fused_advect_enabled("0"));
-    EXPECT_FALSE(advection::fused_advect_enabled("off"));
-    EXPECT_FALSE(advection::fused_advect_enabled("OFF"));
-    EXPECT_FALSE(advection::fused_advect_enabled("False"));
-    EXPECT_FALSE(advection::fused_advect_enabled("no"));
-}
-
 TEST_F(FusedAdvection, ConfigResolution)
 {
     const auto basis = BSplineBasis::uniform(3, 64, 0.0, 1.0);
     const auto v = uniform_velocities(5, -1.0, 1.0);
-    {
-        BatchedAdvection1D::Config cfg;
-        cfg.fuse_build_eval = BatchedAdvection1D::Config::Fuse::Off;
-        BatchedAdvection1D adv(basis, v, 0.01, cfg);
-        EXPECT_FALSE(adv.fused_active());
-    }
-    {
-        // Auto yields to an explicit fuse_transpose ablation request.
-        BatchedAdvection1D::Config cfg;
-        cfg.fuse_transpose = true;
-        BatchedAdvection1D adv(basis, v, 0.01, cfg);
-        EXPECT_FALSE(adv.fused_active());
-    }
-    {
-        // ... but an explicit On outranks it.
-        BatchedAdvection1D::Config cfg;
-        cfg.fuse_transpose = true;
-        cfg.fuse_build_eval = BatchedAdvection1D::Config::Fuse::On;
-        BatchedAdvection1D adv(basis, v, 0.01, cfg);
-        EXPECT_TRUE(adv.fused_active());
-    }
     {
         // Baseline has no fused solve chain: transparent fallback.
         BatchedAdvection1D::Config cfg;
@@ -209,11 +149,12 @@ TEST_F(FusedAdvection, ReducedPrecisionFallsBack)
 }
 
 // ---------------------------------------------------------------------------
-// Bitwise identity: fused vs unfused at Precision::Double must agree to the
-// last bit -- same solve ladder, same evaluation arithmetic, only the data
-// movement differs. Swept over degree x grid x fused builder version, with
-// an explicit tile narrow enough to force multiple tiles plus a ragged
-// tail, and three consecutive steps to compound any divergence.
+// Bitwise identity: the fused step must match the Algorithm 2 oracle
+// (algorithm2_oracle.hpp) at Precision::Double to the last bit -- same
+// solve ladder, same evaluation arithmetic, only the data movement
+// differs. Swept over degree x grid x fused builder version, with an
+// explicit tile narrow enough to force multiple tiles plus a ragged tail,
+// and three consecutive steps to compound any divergence.
 // ---------------------------------------------------------------------------
 
 enum class Grid { UniformPeriodic, NonUniformPeriodic, Clamped };
@@ -250,15 +191,9 @@ TEST_P(FusedIdentityParam, MatchesUnfusedBitwise)
 
     BatchedAdvection1D::Config fused_cfg;
     fused_cfg.version = version;
-    fused_cfg.fuse_build_eval = BatchedAdvection1D::Config::Fuse::On;
     BatchedAdvection1D fused(basis, v, dt, fused_cfg);
     ASSERT_TRUE(fused.fused_active());
-
-    BatchedAdvection1D::Config plain_cfg;
-    plain_cfg.version = version;
-    plain_cfg.fuse_build_eval = BatchedAdvection1D::Config::Fuse::Off;
-    BatchedAdvection1D plain(basis, v, dt, plain_cfg);
-    ASSERT_FALSE(plain.fused_active());
+    const test::Algorithm2Step plain(basis, version, v, dt);
 
     auto ff = initial_condition(fused);
     auto fp = clone(ff);
@@ -334,14 +269,9 @@ TYPED_TEST(FusedExecTyped, MatchesSerialUnfusedBitwise)
     const auto v = uniform_velocities(29, -2.0, 2.0);
     const double dt = 0.011;
 
-    BatchedAdvection1D::Config fused_cfg;
-    fused_cfg.fuse_build_eval = BatchedAdvection1D::Config::Fuse::On;
-    BatchedAdvection1D fused(basis, v, dt, fused_cfg);
+    BatchedAdvection1D fused(basis, v, dt);
     ASSERT_TRUE(fused.fused_active());
-
-    BatchedAdvection1D::Config plain_cfg;
-    plain_cfg.fuse_build_eval = BatchedAdvection1D::Config::Fuse::Off;
-    BatchedAdvection1D plain(basis, v, dt, plain_cfg);
+    const test::Algorithm2Step plain(basis, BuilderVersion::FusedSpmv, v, dt);
 
     auto ff = initial_condition(fused);
     auto fp = clone(ff);
@@ -357,8 +287,8 @@ TYPED_TEST(FusedExecTyped, MatchesSerialUnfusedBitwise)
 
 // ---------------------------------------------------------------------------
 // 2-D: the fused Strang chain (zero physical transposes, advected tiles
-// scattered through transposed views) must match the transpose-based chain
-// bitwise -- the permutations are pure data movement.
+// scattered through transposed views) must match the transpose-based
+// Algorithm 2 chain bitwise -- the permutations are pure data movement.
 // ---------------------------------------------------------------------------
 
 TEST_F(FusedAdvection, TwoDFusedChainMatchesUnfusedBitwise)
@@ -382,15 +312,15 @@ TEST_F(FusedAdvection, TwoDFusedChainMatchesUnfusedBitwise)
     }
     const double dt = 0.004;
 
-    BatchedAdvection2D::Config fused_cfg;
-    fused_cfg.fuse_build_eval = BatchedAdvection1D::Config::Fuse::On;
-    BatchedAdvection2D fused(basis_x, basis_y, vx, vy, dt, fused_cfg);
+    BatchedAdvection2D fused(basis_x, basis_y, vx, vy, dt);
     ASSERT_TRUE(fused.fused_active());
-
-    BatchedAdvection2D::Config plain_cfg;
-    plain_cfg.fuse_build_eval = BatchedAdvection1D::Config::Fuse::Off;
-    BatchedAdvection2D plain(basis_x, basis_y, vx, vy, dt, plain_cfg);
-    ASSERT_FALSE(plain.fused_active());
+    // Strang oracle: x half step, transpose, y full step, transpose back,
+    // x half step.
+    const test::Algorithm2Step plain_x(basis_x, BuilderVersion::FusedSpmv, vx,
+                                       0.5 * dt);
+    const test::Algorithm2Step plain_y(basis_y, BuilderVersion::FusedSpmv, vy,
+                                       dt);
+    View2D<double> ft("ft", nx, ny);
 
     View2D<double> ff("ff", ny, nx);
     for (std::size_t j = 0; j < ny; ++j) {
@@ -403,7 +333,11 @@ TEST_F(FusedAdvection, TwoDFusedChainMatchesUnfusedBitwise)
     auto fp = clone(ff);
     for (int s = 0; s < 2; ++s) {
         fused.step(ff);
-        plain.step(fp);
+        plain_x.step(fp);
+        advection::transpose("oracle_transpose_xy", fp, ft);
+        plain_y.step(ft);
+        advection::transpose("oracle_transpose_yx", ft, fp);
+        plain_x.step(fp);
         for (std::size_t j = 0; j < ny; ++j) {
             for (std::size_t i = 0; i < nx; ++i) {
                 ASSERT_EQ(ulp_distance(ff(j, i), fp(j, i)), 0u)

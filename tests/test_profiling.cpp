@@ -1,8 +1,12 @@
 // Observability-layer tests: nested span parentage, the disabled-mode
 // zero-allocation guarantee, deterministic multi-threaded merges, the
 // machine-readable perf report and the chrome-trace export.
+#include "bsplines/basis.hpp"
+#include "core/batched_solve.hpp"
+#include "core/spline_builder.hpp"
 #include "parallel/parallel.hpp"
 #include "parallel/profiling.hpp"
+#include "parallel/tiling.hpp"
 #include "parallel/view.hpp"
 #include "perf/report.hpp"
 
@@ -137,6 +141,27 @@ TEST_F(ProfilingFixture, CountersAttachToSpans)
     ASSERT_TRUE(tree.count("fused_kernel/pttrs"));
     EXPECT_DOUBLE_EQ(tree.at("fused_kernel/pttrs").bytes, 5.0e8);
     EXPECT_EQ(tree.at("fused_kernel/pttrs").count, 0u);
+}
+
+TEST_F(ProfilingFixture, TileSpanRecordsTheWidthThatRan)
+{
+    // A requested tile wider than the batch runs as one batch-wide tile,
+    // and the tile_w= span names the width that ran, not the request.
+    const auto basis = pspl::bsplines::BSplineBasis::uniform(3, 32, 0.0, 1.0);
+    const pspl::core::SplineBuilder builder(basis,
+                                            pspl::core::BuilderVersion::Fused);
+    pspl::View2D<double> b("b", basis.nbasis(), 33);
+    for (std::size_t i = 0; i < b.extent(0); ++i) {
+        for (std::size_t j = 0; j < b.extent(1); ++j) {
+            b(i, j) = 1.0 + 0.01 * static_cast<double>(i + j);
+        }
+    }
+    pspl::core::schur_solve_batched(builder.solver().device_data(), b,
+                                    pspl::core::BuilderVersion::Fused,
+                                    pspl::TilePolicy::explicit_width(128));
+    const auto flat = prof::snapshot();
+    EXPECT_TRUE(flat.count("tile_w=33"));
+    EXPECT_FALSE(flat.count("tile_w=128"));
 }
 
 TEST(ProfilingDisabled, SpansAllocateNothingWhenDisabled)

@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 
 namespace {
@@ -133,18 +135,32 @@ TEST(Refinement, PoisonedFloatFactorsFallBackToFp64)
 {
     // Corrupt the FP32 factors so the FP32 solve is garbage: refinement
     // cannot contract, the stall detector must trip, and every tile must
-    // re-solve on the FP64 ladder -- still producing FP64-accurate output.
+    // re-solve on the FP64 ladder. The fallback strips run the same column
+    // chain as the FP64 ladder, so the output is the ladder's, bit for
+    // bit, at every tile width (full, partial and tail strips).
     Problem p;
     const core::SchurFloatFactors& sf = p.builder.solver().float_factors();
     ASSERT_GT(sf.pt_dinv.size(), 0u); // periodic cubic -> PTTRS factors
     for (std::size_t i = 0; i < sf.pt_dinv.size(); ++i) {
         sf.pt_dinv(i) = sf.pt_dinv(i) * 32.0f + 7.0f;
     }
-    View2D<double> x("x", p.b.extent(0), kBatch);
-    const RefinementStats stats = core::solve_refined_batched(
-            p.builder.solver(), p.b, x, Precision::Mixed);
-    EXPECT_GT(stats.fallback_tiles, 0u);
-    EXPECT_LE(p.rel_err(x), 1e-11);
+    for (const TilePolicy& policy :
+         {TilePolicy::from_env(), TilePolicy::explicit_width(64),
+          TilePolicy::explicit_width(96), TilePolicy::explicit_width(40)}) {
+        View2D<double> x("x", p.b.extent(0), kBatch);
+        const RefinementStats stats = core::solve_refined_batched(
+                p.builder.solver(), p.b, x, Precision::Mixed, {}, policy);
+        EXPECT_GT(stats.tiles, 0u) << policy.describe();
+        EXPECT_EQ(stats.fallback_tiles, stats.tiles) << policy.describe();
+        for (std::size_t i = 0; i < x.extent(0); ++i) {
+            for (std::size_t j = 0; j < kBatch; ++j) {
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(x(i, j)),
+                          std::bit_cast<std::uint64_t>(p.oracle(i, j)))
+                        << "tile " << policy.describe() << " i=" << i
+                        << " j=" << j;
+            }
+        }
+    }
 }
 
 TEST(Refinement, ExplicitTileWidthsAgree)

@@ -339,33 +339,6 @@ TEST(SimdView, LanesRoundTripLayoutLeft)
     roundtrip_lanes<LayoutLeft>(); // batch strided: gather/scatter
 }
 
-TEST(SimdView, ChunkStagingRoundTrip)
-{
-    constexpr int W = 4;
-    const std::size_t n = 6;
-    View2D<double> b("b", n, 7);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < 7; ++j) {
-            b(i, j) = 10.0 * static_cast<double>(i) + static_cast<double>(j);
-        }
-    }
-    std::vector<simd<double, W>> buf(n);
-    // Tail chunk: columns [4, 7).
-    simd_load_chunk<W>(b, 0, n, 4, 3, buf.data());
-    for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(buf[i][0], b(i, 4));
-        EXPECT_EQ(buf[i][2], b(i, 6));
-        EXPECT_EQ(buf[i][3], 0.0) << "dead lane must be zero-filled";
-        buf[i] += 0.5;
-    }
-    simd_store_chunk<W>(b, 0, n, 4, 3, buf.data());
-    for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(b(i, 3), 10.0 * static_cast<double>(i) + 3.0);
-        EXPECT_EQ(b(i, 4), 10.0 * static_cast<double>(i) + 4.5);
-        EXPECT_EQ(b(i, 6), 10.0 * static_cast<double>(i) + 6.5);
-    }
-}
-
 TEST(ForEachBatchSimd, CoversEveryIndexOnceWithCorrectTails)
 {
     constexpr int W = 4;

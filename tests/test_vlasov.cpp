@@ -236,30 +236,4 @@ TEST(VlasovPoisson, SpectralFieldSolverGivesSamePhysics)
     }
 }
 
-TEST(VlasovPoisson, FusedTransposeConfigAgrees)
-{
-    auto s1 = make_landau(32, 48, 0.1, 0.02);
-    const double k = 0.5;
-    const double lx = 2.0 * pi / k;
-    const auto bx = BSplineBasis::uniform(3, 32, 0.0, lx);
-    const auto bv = BSplineBasis::uniform(3, 48, -6.0, 6.0);
-    VlasovPoisson1D1V::Config cfg;
-    cfg.fuse_transpose = true;
-    VlasovPoisson1D1V s2(bx, bv, 0.1, cfg);
-    const double norm = 1.0 / std::sqrt(2.0 * pi);
-    s2.initialize([=](double x, double v) {
-        return norm * std::exp(-0.5 * v * v)
-               * (1.0 + 0.02 * std::cos(k * x));
-    });
-    for (int s = 0; s < 10; ++s) {
-        s1.step();
-        s2.step();
-    }
-    for (std::size_t j = 0; j < s1.nv(); ++j) {
-        for (std::size_t i = 0; i < s1.nx(); ++i) {
-            EXPECT_NEAR(s1.f()(j, i), s2.f()(j, i), 1e-13);
-        }
-    }
-}
-
 } // namespace

@@ -211,7 +211,7 @@ def test_rule8_fused_advection_arena_strips_are_clean():
         "    double* strip = slot_for(t.thread_rank);\n"
         "    gather_strip_from_rows(f, t.begin, t.cols(), rows, stride,\n"
         "                           strip);\n"
-        "    core::schur_solve_staged_strip<W>(s, strip, packs, use_spmv);\n"
+        "    core::solve_strip<W, UseSpmv>(s, strip, packs, 0, packs);\n"
         "    evaluator.evaluate_shifted(points, shift, col, out_row);\n"
         "});\n")
     assert run_check(lint.check_dispatch_allocation, fixture) == []
