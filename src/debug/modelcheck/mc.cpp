@@ -15,6 +15,15 @@
 // prefix the recorded branch is forced; past it, new nodes are pushed
 // with their untried alternatives, and backtracking advances the deepest
 // node that still has one.
+//
+// For the length of an explore() call the scheduler and every pool
+// thread share one CPU (CallerCpuPin). Since exactly one of them runs at
+// a time, each handoff is then a same-CPU context switch instead of a
+// cross-CPU wakeup, which costs an inter-processor interrupt and, on a
+// virtual machine, often an exit to the hypervisor: the exhaustive L5
+// litmus ran in 12 s pinned against 100 s unpinned on a 4-vCPU VM. The
+// explored interleavings do not change -- the scheduler, never the OS,
+// picks every step.
 #include "debug/modelcheck/mc.hpp"
 
 #include <algorithm>
@@ -26,6 +35,11 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 namespace pspl::mc {
 
@@ -286,6 +300,60 @@ const char* op_name(OpKind k)
     }
     return "?";
 }
+
+/// Pins the thread that calls explore() to one CPU of its own affinity
+/// mask -- the one it is running on, so an outer taskset or cgroup is
+/// respected -- and restores the saved mask on destruction. The pool
+/// threads the engine starts afterwards inherit the one-CPU mask. Off
+/// Linux, or when the mask cannot be read, nothing is pinned.
+class CallerCpuPin
+{
+public:
+    CallerCpuPin()
+    {
+#if defined(__linux__)
+        CPU_ZERO(&m_saved);
+        if (pthread_getaffinity_np(pthread_self(), sizeof(m_saved),
+                                   &m_saved)
+            != 0) {
+            return;
+        }
+        int cpu = sched_getcpu();
+        if (cpu < 0 || cpu >= CPU_SETSIZE || !CPU_ISSET(cpu, &m_saved)) {
+            cpu = -1;
+            for (int c = 0; c < CPU_SETSIZE && cpu < 0; ++c) {
+                if (CPU_ISSET(c, &m_saved)) {
+                    cpu = c;
+                }
+            }
+        }
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(cpu, &one);
+        m_pinned = pthread_setaffinity_np(pthread_self(), sizeof(one), &one)
+                   == 0;
+#endif
+    }
+
+    ~CallerCpuPin()
+    {
+#if defined(__linux__)
+        if (m_pinned) {
+            (void)pthread_setaffinity_np(pthread_self(), sizeof(m_saved),
+                                         &m_saved);
+        }
+#endif
+    }
+
+    CallerCpuPin(const CallerCpuPin&) = delete;
+    CallerCpuPin& operator=(const CallerCpuPin&) = delete;
+
+private:
+#if defined(__linux__)
+    bool m_pinned = false;
+    cpu_set_t m_saved;
+#endif
+};
 
 class Engine;
 Engine* g_engine = nullptr;
@@ -1467,6 +1535,7 @@ Result explore(const std::function<void(Sim&)>& setup, Options opts)
     static std::mutex g_explore_mutex;
     std::lock_guard<std::mutex> serialize(g_explore_mutex);
 
+    const CallerCpuPin pin;
     Engine engine(std::move(opts));
     g_engine = &engine;
     for (;;) {

@@ -9,6 +9,9 @@
 //   * ModelCheckLitmus -- every protocol litmus from
 //     tests/modelcheck_litmus.hpp passes exhaustive exploration with the
 //     production memory orders.
+//   * ModelCheckPinning -- explore() runs its scheduler and litmus
+//     threads on one CPU of the caller's affinity mask and gives the
+//     caller its mask back afterwards.
 //
 // Exploration bounds come from the environment (PSPL_MC_MAX_EXECUTIONS,
 // PSPL_MC_PREEMPTION_BOUND, PSPL_MC_MAX_STEPS, PSPL_MC_NO_SLEEP_SETS);
@@ -20,6 +23,13 @@
 
 #include <cstdio>
 #include <memory>
+#include <mutex>
+#include <vector>
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 namespace mc = pspl::mc;
 
@@ -312,4 +322,125 @@ TEST(ModelCheckLitmus, SingleThreadDrain)
 TEST(ModelCheckLitmus, ProfilerChunkPublishedPrefix)
 {
     expect_pass("L9.chunk_prefix", litmus::chunk_published_prefix);
+}
+
+// ---------------------------------------------------------------------------
+// CPU confinement of the exploring threads.
+// ---------------------------------------------------------------------------
+
+#if defined(__linux__)
+namespace {
+
+cpu_set_t thread_mask()
+{
+    cpu_set_t m;
+    CPU_ZERO(&m);
+    EXPECT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(m), &m), 0);
+    return m;
+}
+
+void set_thread_mask(const cpu_set_t& m)
+{
+    ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(m), &m), 0);
+}
+
+/// Affinity masks seen by the litmus threads and the exit check (which
+/// runs on the scheduler thread) of every execution.
+struct MaskLog {
+    std::mutex m;
+    std::vector<cpu_set_t> masks;
+
+    void record()
+    {
+        const cpu_set_t mask = thread_mask();
+        std::lock_guard<std::mutex> lk(m);
+        masks.push_back(mask);
+    }
+};
+
+mc::Result explore_recording(MaskLog& log)
+{
+    return mc::explore([&log](mc::Sim& sim) {
+        auto x = std::make_shared<mc::atomic<int>>(0, "x");
+        sim.thread([x, &log] {
+            log.record();
+            x->store(1);
+        });
+        sim.thread([x, &log] {
+            log.record();
+            (void)x->load();
+        });
+        sim.on_exit([&log] { log.record(); });
+    });
+}
+
+} // namespace
+#endif
+
+TEST(ModelCheckPinning, LitmusThreadsShareOneCpu)
+{
+#if defined(__linux__)
+    const cpu_set_t caller = thread_mask();
+    MaskLog log;
+    const mc::Result r = explore_recording(log);
+    EXPECT_FALSE(r.failed) << r.failure;
+    ASSERT_GE(log.masks.size(), 3u);
+    for (const cpu_set_t& m : log.masks) {
+        EXPECT_EQ(CPU_COUNT(&m), 1);
+        EXPECT_TRUE(CPU_EQUAL(&m, &log.masks.front()));
+        cpu_set_t inside;
+        CPU_AND(&inside, &m, &caller);
+        EXPECT_EQ(CPU_COUNT(&inside), 1);
+    }
+#else
+    GTEST_SKIP() << "CPU affinity is Linux-only";
+#endif
+}
+
+TEST(ModelCheckPinning, ExploreRestoresCallerMask)
+{
+#if defined(__linux__)
+    const cpu_set_t before = thread_mask();
+    MaskLog log;
+    EXPECT_FALSE(explore_recording(log).failed);
+    const cpu_set_t after = thread_mask();
+    EXPECT_TRUE(CPU_EQUAL(&before, &after));
+#else
+    GTEST_SKIP() << "CPU affinity is Linux-only";
+#endif
+}
+
+TEST(ModelCheckPinning, OuterMaskIsRespected)
+{
+#if defined(__linux__)
+    // Narrow the caller to its highest allowed CPU, as a taskset would:
+    // every exploring thread must stay on it, and explore() must hand
+    // back the narrowed mask rather than the process mask.
+    const cpu_set_t original = thread_mask();
+    int last = -1;
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+        if (CPU_ISSET(c, &original)) {
+            last = c;
+        }
+    }
+    ASSERT_GE(last, 0);
+    cpu_set_t narrow;
+    CPU_ZERO(&narrow);
+    CPU_SET(last, &narrow);
+    set_thread_mask(narrow);
+
+    MaskLog log;
+    const mc::Result r = explore_recording(log);
+    const cpu_set_t after = thread_mask();
+    set_thread_mask(original);
+
+    EXPECT_FALSE(r.failed) << r.failure;
+    ASSERT_GE(log.masks.size(), 3u);
+    for (const cpu_set_t& m : log.masks) {
+        EXPECT_TRUE(CPU_EQUAL(&m, &narrow));
+    }
+    EXPECT_TRUE(CPU_EQUAL(&after, &narrow));
+#else
+    GTEST_SKIP() << "CPU affinity is Linux-only";
+#endif
 }
