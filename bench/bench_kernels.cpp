@@ -3,9 +3,11 @@
 // systems/compute (pttrs 2.941 ms, two gemms 3.795/4.423 ms, getrs 6.5 us
 // at (1000, 100000) on A100). One benchmark per solver kernel, all at the
 // same (n, batch) working set, so relative kernel costs can be compared
-// directly with the paper's Gantt-chart numbers.
+// directly with the paper's Gantt-chart numbers. bm_evaluate_shifted times
+// the other half of the advection step, evaluation at the feet.
 #include "batched/batched.hpp"
 #include "bench/common.hpp"
+#include "core/spline_evaluator.hpp"
 #include "hostlapack/gbtrf.hpp"
 #include "hostlapack/getrf.hpp"
 #include "hostlapack/gttrf.hpp"
@@ -16,6 +18,8 @@
 #include "sparse/coo.hpp"
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 namespace {
 
@@ -208,6 +212,50 @@ void bm_spmv_coo(benchmark::State& state)
                             * static_cast<int64_t>(nnz * batch));
 }
 
+void bm_evaluate_shifted(benchmark::State& state)
+{
+    // Evaluation at the feet (Algorithm 2, lines 6-10), serially on the
+    // calling thread: every column of a 64-column row-major coefficient
+    // strip, read through core::StripColumn the way AdvectionPlan reads its
+    // staged tile, at the Greville points shifted by v*dt for v in [-1, 1),
+    // dt = 1e-3 (the advection workloads' shifts).
+    const int degree = static_cast<int>(state.range(0));
+    const bool uniform = state.range(1) != 0;
+    const std::size_t n = 1000;
+    const std::size_t cols = 64;
+    const auto basis = bench::make_basis(degree, uniform, n);
+    const core::SplineEvaluator evaluator(basis);
+    const auto pts = basis.interpolation_points();
+    View1D<double> points("points", n);
+    for (std::size_t i = 0; i < n; ++i) {
+        points(i) = pts[i];
+    }
+    std::vector<double> strip(n * cols);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t c = 0; c < cols; ++c) {
+            strip[i * cols + c] = bench::hash_noise(i, c);
+        }
+    }
+    std::vector<double> out(cols * n);
+    for (auto _ : state) {
+        for (std::size_t c = 0; c < cols; ++c) {
+            const core::StripColumn coeffs{strip.data() + c, n, cols};
+            const double v = -1.0
+                             + 2.0 * static_cast<double>(c)
+                                       / static_cast<double>(cols);
+            evaluator.evaluate_shifted(points, v * 1e-3, coeffs,
+                                       out.data() + c * n);
+        }
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    // Inverted rate: seconds per point (printed with an SI prefix, "ns").
+    state.counters["time_per_point"] = benchmark::Counter(
+            static_cast<double>(cols * n),
+            benchmark::Counter::kIsIterationInvariantRate
+                    | benchmark::Counter::kInvert);
+}
+
 } // namespace
 
 BENCHMARK(bm_pttrs)->Unit(benchmark::kMillisecond);
@@ -216,5 +264,10 @@ BENCHMARK(bm_pbtrs)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_gbtrs)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_getrs_small)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_spmv_coo)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_evaluate_shifted)
+        ->ArgNames({"degree", "uniform"})
+        ->Args({3, 1})
+        ->Args({5, 0})
+        ->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

@@ -29,6 +29,12 @@ BSplineBasis::BSplineBasis(int degree, const std::vector<double>& breaks,
     }
     const double length = m_xmax - m_xmin;
     m_inv_dx = static_cast<double>(m_ncells) / length;
+    // fl(d / length) is non-decreasing in d and fl(length / length) = 1, so
+    // stepping down from length finds the largest d that divides below 1.
+    m_wrap_dmax = length;
+    while (m_wrap_dmax / length >= 1.0) {
+        m_wrap_dmax = std::nextafter(m_wrap_dmax, 0.0);
+    }
 
     const std::size_t p = static_cast<std::size_t>(degree);
     m_knots = View1D<double>("bspline_knots", m_ncells + 2 * p + 1);
@@ -73,59 +79,6 @@ BSplineBasis::clamped_non_uniform(int degree,
                                   const std::vector<double>& breaks)
 {
     return BSplineBasis(degree, breaks, false, Boundary::Clamped);
-}
-
-double BSplineBasis::wrap(double x) const
-{
-    if (!m_periodic) {
-        if (x < m_xmin) {
-            return m_xmin;
-        }
-        if (x > m_xmax) {
-            return m_xmax;
-        }
-        return x;
-    }
-    const double length = m_xmax - m_xmin;
-    double t = x - length * std::floor((x - m_xmin) / length);
-    if (t >= m_xmax) {
-        t = m_xmin; // guard against floating-point round-up at the seam
-    }
-    return t;
-}
-
-std::size_t BSplineBasis::find_cell(double x_wrapped) const
-{
-    if (m_uniform) {
-        auto c = static_cast<long>((x_wrapped - m_xmin) * m_inv_dx);
-        if (c < 0) {
-            c = 0;
-        }
-        if (c >= static_cast<long>(m_ncells)) {
-            c = static_cast<long>(m_ncells) - 1;
-        }
-        // Uniform arithmetic can land one cell off at boundaries.
-        while (c > 0 && x_wrapped < break_point(static_cast<std::size_t>(c))) {
-            --c;
-        }
-        while (c + 1 < static_cast<long>(m_ncells)
-               && x_wrapped >= break_point(static_cast<std::size_t>(c) + 1)) {
-            ++c;
-        }
-        return static_cast<std::size_t>(c);
-    }
-    // Binary search over break points.
-    std::size_t lo = 0;
-    std::size_t hi = m_ncells; // invariant: break(lo) <= x < break(hi)
-    while (hi - lo > 1) {
-        const std::size_t mid = (lo + hi) / 2;
-        if (x_wrapped < break_point(mid)) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    return lo;
 }
 
 long BSplineBasis::eval_basis(double x, double* vals) const

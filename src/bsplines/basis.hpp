@@ -16,8 +16,10 @@
 // evaluator relies on.
 #pragma once
 
+#include "parallel/macros.hpp"
 #include "parallel/view.hpp"
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -84,10 +86,87 @@ public:
 
     /// Map x into the principal domain: periodic wrap, or clamp to
     /// [xmin, xmax] for clamped bases.
-    double wrap(double x) const;
+    double wrap(double x) const
+    {
+        if (!m_periodic) {
+            if (x < m_xmin) {
+                return m_xmin;
+            }
+            if (x > m_xmax) {
+                return m_xmax;
+            }
+            return x;
+        }
+        // Inside the domain the floor formula below computes floor(q) = 0
+        // (q = d / length rounds below 1 for every d <= m_wrap_dmax) and
+        // returns x itself, so skip the division.
+        const double d = x - m_xmin;
+        if (d > 0.0 && d <= m_wrap_dmax) {
+            return x;
+        }
+        const double length = m_xmax - m_xmin;
+        double t = x - length * std::floor(d / length);
+        if (t >= m_xmax) {
+            t = m_xmin; // guard against floating-point round-up at the seam
+        }
+        return t;
+    }
 
     /// Index of the cell containing wrap(x), in [0, ncells).
-    std::size_t find_cell(double x_wrapped) const;
+    std::size_t find_cell(double x_wrapped) const
+    {
+        if (m_uniform) {
+            // Clamp in floating point before converting: a NaN or
+            // out-of-range quotient makes the conversion undefined.
+            const double q = (x_wrapped - m_xmin) * m_inv_dx;
+            long c = 0;
+            if (q >= static_cast<double>(m_ncells)) {
+                c = static_cast<long>(m_ncells) - 1;
+            } else if (q >= 0.0) {
+                c = static_cast<long>(q);
+            }
+            // Uniform arithmetic can land one cell off at boundaries.
+            while (c > 0
+                   && x_wrapped < break_point(static_cast<std::size_t>(c))) {
+                --c;
+            }
+            while (c + 1 < static_cast<long>(m_ncells)
+                   && x_wrapped
+                              >= break_point(static_cast<std::size_t>(c) + 1)) {
+                ++c;
+            }
+            return static_cast<std::size_t>(c);
+        }
+        // Binary search over break points.
+        std::size_t lo = 0;
+        std::size_t hi = m_ncells; // invariant: break(lo) <= x < break(hi)
+        while (hi - lo > 1) {
+            const std::size_t mid = (lo + hi) / 2;
+            if (x_wrapped < break_point(mid)) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        return lo;
+    }
+
+    /// find_cell(x_wrapped), trying cell `hint` (< ncells) and the one
+    /// after it first -- where consecutive feet of an ordered point set
+    /// land. Both searches return the one cell c with
+    /// (c == 0 or x >= break(c)) and (c == ncells-1 or x < break(c+1)); no
+    /// cell satisfies that for NaN, which therefore takes the full search.
+    std::size_t find_cell(double x_wrapped, std::size_t hint) const
+    {
+        PSPL_DEBUG_ASSERT(hint < m_ncells, "find_cell: hint out of range");
+        if (cell_holds(hint, x_wrapped)) {
+            return hint;
+        }
+        if (hint + 1 < m_ncells && cell_holds(hint + 1, x_wrapped)) {
+            return hint + 1;
+        }
+        return find_cell(x_wrapped);
+    }
 
     /// Map a raw basis index (as returned via jmin from eval_basis) to the
     /// storage index in [0, nbasis): modulo for periodic, +degree shift for
@@ -95,7 +174,18 @@ public:
     std::size_t basis_index(long j) const
     {
         if (m_periodic) {
-            const auto n = static_cast<long>(nbasis());
+            // j in [-n, 2n), every caller's range, needs at most one add
+            // or subtract; the modulo covers the rest.
+            const auto n = static_cast<long>(m_ncells);
+            if (j >= 0 && j < n) {
+                return static_cast<std::size_t>(j);
+            }
+            if (j < 0 && j >= -n) {
+                return static_cast<std::size_t>(j + n);
+            }
+            if (j >= n && j < 2 * n) {
+                return static_cast<std::size_t>(j - n);
+            }
             return static_cast<std::size_t>(((j % n) + n) % n);
         }
         return static_cast<std::size_t>(j + m_degree);
@@ -127,11 +217,19 @@ public:
     double basis_integral(std::size_t i) const;
 
 private:
+    bool cell_holds(std::size_t c, double x) const
+    {
+        return (c == 0 || x >= break_point(c))
+               && (c + 1 == m_ncells || x < break_point(c + 1));
+    }
+
     int m_degree = 0;
     std::size_t m_ncells = 0;
     double m_xmin = 0.0;
     double m_xmax = 1.0;
     double m_inv_dx = 1.0; ///< only meaningful when uniform
+    /// Largest d with fl(d / length) < 1: wrap's no-division bound.
+    double m_wrap_dmax = 0.0;
     bool m_uniform = true;
     bool m_periodic = true;
     View1D<double> m_knots; ///< size ncells + 2*degree + 1; index i+degree

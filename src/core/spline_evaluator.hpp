@@ -116,102 +116,37 @@ public:
     std::vector<double> evaluate_many(const std::vector<double>& points,
                                       const View1D<double>& coeffs) const;
 
-    /// Whether evaluate_shifted() may take the uniform-knot SIMD fast path:
-    /// a uniform periodic basis evaluates every point in cell-local units
-    /// (eval_basis' cell_units branch), so the Cox-de Boor recursion can
-    /// advance W feet per vector instruction with lane-wise arithmetic that
-    /// is bit-for-bit the scalar recursion. Clamped bases fall outside the
-    /// guarantee near the repeated end knots and stay on the scalar path.
-    bool shifted_simd_supported() const
-    {
-        return m_basis.is_uniform() && m_basis.is_periodic();
-    }
+    /// Whether evaluate_shifted() runs the block kernel: every periodic
+    /// basis, uniform or not. Clamped bases stay on the per-point loop (their
+    /// repeated end knots give the scalar recursion cell-dependent
+    /// branches).
+    bool shifted_simd_supported() const { return m_basis.is_periodic(); }
 
     /// Strip evaluation (kernel-callable): out[i] = s(points(i) - shift)
     /// for i in [0, points.extent(0)), one coefficient column. `shift` is
     /// the backward-characteristic displacement v*dt of semi-Lagrangian
     /// advection; `out` is a contiguous row (an output strip row or a row
-    /// of the distribution function itself). Dispatches on the configured
-    /// EvaluatorVersion and on shifted_simd_supported(); every path
-    /// performs the exact FP operations of the scalar reference, in the
-    /// same order, so the results are bitwise identical across paths.
+    /// of the distribution function itself). With EvaluatorVersion::Simd
+    /// and shifted_simd_supported(), whole blocks of shifted_block feet go
+    /// through the block kernel and the remainder through the per-point
+    /// loop. Every output equals operator()(points(i) - shift, coeffs) to
+    /// the bit on both paths.
     template <class CView>
     void evaluate_shifted(const View1D<double>& points, double shift,
                           const CView& coeffs,
                           double* PSPL_RESTRICT out) const
     {
-        if (m_version == EvaluatorVersion::Simd && shifted_simd_supported()) {
-            evaluate_shifted_simd<simd_preferred_width<double>>(points, shift,
-                                                                coeffs, out);
-            return;
-        }
-        const std::size_t npts = points.extent(0);
-        for (std::size_t i = 0; i < npts; ++i) {
-            out[i] = (*this)(points(i) - shift, coeffs);
-        }
-    }
-
-    /// Explicit-width uniform-knot SIMD fast path of evaluate_shifted: the
-    /// feet land in per-lane cells (scalar wrap/find_cell, they are integer
-    /// searches), then one pack-wide Cox-de Boor recursion advances the W
-    /// basis evaluations together in cell-local units -- per lane the same
-    /// multiply/divide/add sequence as bsplines::BSplineBasis::eval_basis,
-    /// so each lane's basis values are bitwise those of the scalar path.
-    /// The (degree+1)-tap coefficient combination is lane-serial (every
-    /// lane gathers a different support window). Caller must ensure
-    /// shifted_simd_supported().
-    template <int W, class CView>
-    void evaluate_shifted_simd(const View1D<double>& points, double shift,
-                               const CView& coeffs,
-                               double* PSPL_RESTRICT out) const
-    {
-        PSPL_DEBUG_ASSERT(shifted_simd_supported(),
-                          "evaluate_shifted_simd: uniform periodic bases "
-                          "only (clamped end cells leave cell-local units)");
-        using Pack = simd<double, W>;
-        const int p = m_basis.degree();
         const std::size_t npts = points.extent(0);
         std::size_t i = 0;
-        for (; i + static_cast<std::size_t>(W) <= npts; i += W) {
-            Pack u(0.0);
-            long jmin[W];
-            for (int l = 0; l < W; ++l) {
-                const double xw = m_basis.wrap(points(i + l) - shift);
-                const auto icell =
-                        static_cast<long>(m_basis.find_cell(xw));
-                const double b0 = m_basis.break_point(
-                        static_cast<std::size_t>(icell));
-                const double h = m_basis.break_point(
-                                         static_cast<std::size_t>(icell) + 1)
-                                 - b0;
-                u.set(l, (xw - b0) / h);
-                jmin[l] = icell - p;
-            }
-            Pack vals[bsplines::BSplineBasis::max_degree + 1];
-            Pack left[bsplines::BSplineBasis::max_degree + 1];
-            Pack right[bsplines::BSplineBasis::max_degree + 1];
-            vals[0] = Pack(1.0);
-            for (int j = 0; j < p; ++j) {
-                left[j] = u + static_cast<double>(j);
-                right[j] = (1.0 - u) + static_cast<double>(j);
-                Pack saved(0.0);
-                for (int r = 0; r <= j; ++r) {
-                    const Pack temp = vals[r] / (right[r] + left[j - r]);
-                    vals[r] = saved + right[r] * temp;
-                    saved = left[j - r] * temp;
-                }
-                vals[j + 1] = saved;
-            }
-            for (int l = 0; l < W; ++l) {
-                double acc = 0.0;
-                for (int r = 0; r <= p; ++r) {
-                    acc += vals[r][l]
-                           * coeffs(m_basis.basis_index(jmin[l] + r));
-                }
-                out[i + l] = acc;
+        if (m_version == EvaluatorVersion::Simd && shifted_simd_supported()) {
+            constexpr auto block = static_cast<std::size_t>(shifted_block);
+            std::size_t cell = 0; // search hint: the previous foot's cell
+            for (; i + block <= npts; i += block) {
+                evaluate_shifted_block(points, i, shift, coeffs, out + i,
+                                       cell);
             }
         }
-        for (; i < npts; ++i) { // scalar tail, same arithmetic per point
+        for (; i < npts; ++i) {
             out[i] = (*this)(points(i) - shift, coeffs);
         }
     }
@@ -286,6 +221,98 @@ public:
     }
 
 private:
+    /// Feet per block of the evaluate_shifted kernel. A constant, not a
+    /// knob: wide enough that the divide chains of the lane-wise Cox-de Boor
+    /// triangle overlap even when the pack lowers to 2-wide SSE2 registers.
+    static constexpr int shifted_block = 8;
+
+    /// One block of evaluate_shifted on a periodic basis: feet
+    /// points(i0 + l) - shift for l < shifted_block, written to out[l].
+    /// Per lane it performs the floating-point operations of eval_basis
+    /// followed by operator()'s tap loop, in the same order, so each output
+    /// is bitwise the scalar one. The wrap and the hinted cell search are
+    /// scalar per foot; the Cox-de Boor triangle runs lane-wise on packs --
+    /// in cell-local units on uniform breaks (eval_basis' cell_units
+    /// branch), on gathered knot differences otherwise. The (degree+1)-tap
+    /// combination is lane-serial, every lane reading its own support
+    /// window, with a storage index that wraps by one compare per tap.
+    template <class CView>
+    PSPL_FORCEINLINE_FUNCTION void
+    evaluate_shifted_block(const View1D<double>& points, std::size_t i0,
+                           double shift, const CView& coeffs,
+                           double* PSPL_RESTRICT out, std::size_t& cell) const
+    {
+        constexpr int B = shifted_block;
+        constexpr int max_taps = bsplines::BSplineBasis::max_degree + 1;
+        using Pack = simd<double, B>;
+        const bsplines::BSplineBasis& basis = m_basis;
+        const int p = basis.degree();
+        const auto pl = static_cast<long>(p);
+        const std::size_t n = basis.nbasis();
+
+        double xw[B];
+        long icell[B];
+        for (int l = 0; l < B; ++l) {
+            xw[l] = basis.wrap(points(i0 + static_cast<std::size_t>(l))
+                               - shift);
+            cell = basis.find_cell(xw[l], cell);
+            icell[l] = static_cast<long>(cell);
+        }
+        const Pack x = Pack::load(xw);
+
+        // Per-lane gathers, lo[l] / hi[l], loaded as packs.
+        double lo[B];
+        double hi[B];
+        Pack left[max_taps];
+        Pack right[max_taps];
+        if (basis.is_uniform()) {
+            for (int l = 0; l < B; ++l) {
+                const auto c = static_cast<std::size_t>(icell[l]);
+                lo[l] = basis.break_point(c);
+                hi[l] = basis.break_point(c + 1);
+            }
+            const Pack b0 = Pack::load(lo);
+            const Pack u = (x - b0) / (Pack::load(hi) - b0);
+            for (int j = 0; j < p; ++j) {
+                left[j] = u + static_cast<double>(j);
+                right[j] = (1.0 - u) + static_cast<double>(j);
+            }
+        } else {
+            for (int j = 0; j < p; ++j) {
+                for (int l = 0; l < B; ++l) {
+                    lo[l] = basis.knot(icell[l] - j);
+                    hi[l] = basis.knot(icell[l] + j + 1);
+                }
+                left[j] = x - Pack::load(lo);
+                right[j] = Pack::load(hi) - x;
+            }
+        }
+
+        Pack vals[max_taps];
+        vals[0] = Pack(1.0);
+        for (int j = 0; j < p; ++j) {
+            Pack saved(0.0);
+            for (int r = 0; r <= j; ++r) {
+                const Pack temp = vals[r] / (right[r] + left[j - r]);
+                vals[r] = saved + right[r] * temp;
+                saved = left[j - r] * temp;
+            }
+            vals[j + 1] = saved;
+        }
+
+        for (int l = 0; l < B; ++l) {
+            std::size_t idx = basis.basis_index(icell[l] - pl);
+            double acc = 0.0;
+            for (int r = 0; r <= p; ++r) {
+                acc += vals[r][l] * coeffs(idx);
+                if (++idx == n) {
+                    idx = 0;
+                }
+            }
+            out[l] = acc;
+        }
+    }
+
     bsplines::BSplineBasis m_basis;
     EvaluatorVersion m_version = EvaluatorVersion::Simd;
 };

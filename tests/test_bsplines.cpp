@@ -1,12 +1,17 @@
 // Property tests for the periodic B-spline basis: partition of unity,
 // non-negativity, locality, derivative consistency, Greville points and
-// knot bookkeeping, swept over degrees and uniform/non-uniform grids.
+// knot bookkeeping, swept over degrees and uniform/non-uniform grids; and
+// the shortcut paths of wrap, find_cell and basis_index against the plain
+// formulas they must reproduce exactly.
 #include "bsplines/basis.hpp"
 #include "bsplines/knots.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
 #include <tuple>
 #include <vector>
@@ -205,6 +210,114 @@ TEST(Basis, RejectsInvalidConfigurations)
     std::vector<double> decreasing = {0.0, 0.5, 0.4, 1.0};
     EXPECT_DEATH(BSplineBasis::non_uniform(1, decreasing),
                  "strictly increasing");
+}
+
+TEST(Basis, PeriodicBasisIndexMatchesModulo)
+{
+    for (const std::size_t ncells : {std::size_t{4}, std::size_t{11},
+                                     std::size_t{75}}) {
+        const auto basis = BSplineBasis::uniform(3, ncells, 0.0, 1.0);
+        const auto n = static_cast<long>(ncells);
+        for (long j = -3 * n; j <= 3 * n; ++j) {
+            ASSERT_EQ(basis.basis_index(j),
+                      static_cast<std::size_t>(((j % n) + n) % n))
+                    << "n=" << n << " j=" << j;
+        }
+    }
+}
+
+/// The periodic wrap as a plain floor formula, with no shortcut.
+double floor_wrap(const BSplineBasis& basis, double x)
+{
+    const double length = basis.xmax() - basis.xmin();
+    double t = x - length * std::floor((x - basis.xmin()) / length);
+    if (t >= basis.xmax()) {
+        t = basis.xmin();
+    }
+    return t;
+}
+
+TEST(Basis, WrapMatchesFloorFormulaAtTheSeam)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<BSplineBasis> bases = {
+            BSplineBasis::uniform(3, 16, 0.0, 1.0),
+            BSplineBasis::uniform(2, 37, 0.0, 2.0 * std::numbers::pi),
+            BSplineBasis::non_uniform(5, stretched_breaks(29, -1.25, 2.5)),
+            BSplineBasis::uniform(4, 12, -3.0, -0.1),
+    };
+    for (const auto& basis : bases) {
+        const double xmin = basis.xmin();
+        const double xmax = basis.xmax();
+        const double length = xmax - xmin;
+        std::vector<double> xs = {
+                xmin,
+                -0.0,
+                0.0,
+                std::nextafter(xmin, inf),
+                std::nextafter(xmin, -inf),
+                xmax,
+                std::nextafter(xmax, inf),
+                std::nextafter(xmax, -inf),
+                1e300,
+                -1e300,
+                std::numeric_limits<double>::quiet_NaN(),
+                inf,
+                -inf,
+        };
+        for (int k = 1; k <= 5; ++k) {
+            const double kl = static_cast<double>(k) * length;
+            xs.insert(xs.end(), {kl, -kl, xmin + kl, xmin - kl, xmax + kl,
+                                 xmax - kl});
+        }
+        // Walk 40 ulps either side of xmax, where x - xmin divides to 1.
+        double below = xmax;
+        double above = xmax;
+        for (int s = 0; s < 40; ++s) {
+            below = std::nextafter(below, -inf);
+            above = std::nextafter(above, inf);
+            xs.push_back(below);
+            xs.push_back(above);
+        }
+        for (const double x : xs) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(basis.wrap(x)),
+                      std::bit_cast<std::uint64_t>(floor_wrap(basis, x)))
+                    << "xmin=" << xmin << " x=" << x;
+        }
+    }
+}
+
+TEST(Basis, HintedFindCellMatchesSearch)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<BSplineBasis> bases = {
+            BSplineBasis::uniform(3, 13, 0.0, 1.0),
+            BSplineBasis::non_uniform(3, stretched_breaks(13, 0.0, 1.0)),
+            BSplineBasis::clamped_uniform(2, 9, -1.0, 1.0),
+            BSplineBasis::clamped_non_uniform(
+                    4, stretched_breaks(9, -1.0, 1.0, 0.7)),
+    };
+    for (const auto& basis : bases) {
+        std::vector<double> xs = {std::numeric_limits<double>::quiet_NaN(),
+                                  inf, -inf, basis.xmin() - 0.5,
+                                  basis.xmax() + 0.5};
+        for (std::size_t c = 0; c <= basis.ncells(); ++c) {
+            const double b = basis.break_point(c);
+            xs.insert(xs.end(),
+                      {b, std::nextafter(b, -inf), std::nextafter(b, inf)});
+        }
+        for (int s = 0; s < 97; ++s) {
+            xs.push_back(basis.xmin()
+                         + basis.length() * static_cast<double>(s) / 97.0);
+        }
+        for (const double x : xs) {
+            const std::size_t want = basis.find_cell(x);
+            for (std::size_t hint = 0; hint < basis.ncells(); ++hint) {
+                ASSERT_EQ(basis.find_cell(x, hint), want)
+                        << "x=" << x << " hint=" << hint;
+            }
+        }
+    }
 }
 
 TEST(Knots, UniformBreaksAreEquispaced)

@@ -15,13 +15,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <numbers>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 namespace {
 
@@ -366,16 +370,32 @@ TEST_F(FusedAdvection, RepeatedStepsDoNotReallocate)
 }
 
 // ---------------------------------------------------------------------------
-// Shifted strip evaluation: the uniform-knot SIMD fast path must agree with
-// the scalar evaluator to the bit, and the scalar path must equal direct
-// per-point evaluation by construction.
+// Shifted strip evaluation: the block kernel must agree with the scalar
+// evaluator to the bit on every periodic basis, and the scalar path must
+// equal direct per-point evaluation by construction.
 // ---------------------------------------------------------------------------
 
 TEST(EvaluateShifted, SimdFastPathMatchesScalarBitwise)
 {
-    for (int degree = 2; degree <= 5; ++degree) {
-        const std::size_t n = 75; // odd: exercises the SIMD tail loop
-        const auto basis = BSplineBasis::uniform(degree, n, 0.0, 1.0);
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    // Uniform and stretched periodic bases, degrees 1-5; 11 and 75 points
+    // leave a tail after the last 8-foot block. The [0, 1] domain puts the
+    // seam at a signed zero, the second one makes xmin and xmax shifts
+    // distinct from 0 and length.
+    std::vector<BSplineBasis> bases;
+    for (const auto& [xmin, xmax] : {std::pair{0.0, 1.0}, {-0.75, 2.5}}) {
+        for (int degree = 1; degree <= 5; ++degree) {
+            for (const std::size_t n : {std::size_t{11}, std::size_t{75},
+                                        std::size_t{1000}}) {
+                bases.push_back(BSplineBasis::uniform(degree, n, xmin, xmax));
+                bases.push_back(BSplineBasis::non_uniform(
+                        degree, bsplines::stretched_breaks(n, xmin, xmax)));
+            }
+        }
+    }
+    for (const auto& basis : bases) {
+        const std::size_t n = basis.nbasis();
         core::SplineEvaluator simd_eval(basis, core::EvaluatorVersion::Simd);
         core::SplineEvaluator scalar_eval(basis,
                                           core::EvaluatorVersion::Scalar);
@@ -387,21 +407,50 @@ TEST(EvaluateShifted, SimdFastPathMatchesScalarBitwise)
                         + 0.3 * std::cos(1.3 * static_cast<double>(i));
         }
         const auto pts = basis.interpolation_points();
-        View1D<double> points("points", n);
+        View1D<double> greville("greville", n);
+        View1D<double> special("special", n);
         for (std::size_t i = 0; i < n; ++i) {
-            points(i) = pts[i];
+            greville(i) = pts[i];
+            special(i) = pts[i];
         }
-        const double shift = 0.37;
+        // Non-finite and signed-zero feet, inside the first block and in
+        // the last point.
+        special(1) = nan;
+        special(3) = -0.0;
+        special(4) = inf;
+        special(6) = -inf;
+        special(n - 1) = nan;
+
+        const double xmax = basis.xmax();
+        const double length = basis.length();
+        const double shifts[] = {0.0,    1e-3,    -1e-3,        0.37,
+                                 -0.37,  2.0,     -7.25,        1e6,
+                                 length, -length, basis.xmin(), xmax,
+                                 std::nextafter(xmax, 0.0)};
         View1D<double> out_simd("out_simd", n);
         View1D<double> out_scalar("out_scalar", n);
-        simd_eval.evaluate_shifted(points, shift, coeffs, &out_simd(0));
-        scalar_eval.evaluate_shifted(points, shift, coeffs, &out_scalar(0));
-        for (std::size_t i = 0; i < n; ++i) {
-            ASSERT_EQ(ulp_distance(out_simd(i), out_scalar(i)), 0u)
-                    << "degree " << degree << " i=" << i;
-            // The scalar path is by construction the direct evaluation.
-            ASSERT_EQ(out_scalar(i),
-                      scalar_eval(points(i) - shift, coeffs));
+        for (const auto& points : {greville, special}) {
+            for (const double shift : shifts) {
+                simd_eval.evaluate_shifted(points, shift, coeffs,
+                                           &out_simd(0));
+                scalar_eval.evaluate_shifted(points, shift, coeffs,
+                                             &out_scalar(0));
+                for (std::size_t i = 0; i < n; ++i) {
+                    // The scalar path is by construction the direct
+                    // evaluation.
+                    const auto direct = std::bit_cast<std::uint64_t>(
+                            scalar_eval(points(i) - shift, coeffs));
+                    ASSERT_EQ(std::bit_cast<std::uint64_t>(out_scalar(i)),
+                              direct);
+                    ASSERT_EQ(std::bit_cast<std::uint64_t>(out_simd(i)),
+                              direct)
+                            << (basis.is_uniform() ? "uniform" : "stretched")
+                            << " [" << basis.xmin() << ", " << xmax
+                            << "] degree " << basis.degree() << " n=" << n
+                            << " shift=" << shift << " i=" << i
+                            << " foot=" << points(i) - shift;
+                }
+            }
         }
     }
 }
