@@ -160,8 +160,9 @@ void sweep_width(std::size_t batch, perf::Table& table,
         }
         const double speedup = off_seconds / solve;
         const double gbs = perf::achieved_bandwidth_gbs(n, batch, solve);
-        const std::size_t eff = tc.policy.tile_cols(
-                n, batch, sizeof(double), static_cast<std::size_t>(W));
+        // The width the builder stages, 0 when the policy streams.
+        const std::size_t eff = core::detail::builder_tile_cols(
+                tc.policy, n, batch, static_cast<std::size_t>(W));
         table.add_row({"W=" + std::to_string(W), tc.request,
                        std::to_string(eff), perf::fmt_time(solve),
                        perf::fmt(speedup, 2) + "x",

@@ -60,14 +60,17 @@ AdvectionPlan::AdvectionPlan(const core::SplineBuilder& builder,
     const core::FusedChain chain = core::fused_chain(v);
     m_use_spmv = chain.use_spmv;
     m_width = chain.pack_width;
-    const std::size_t n = m_builder.basis().nbasis();
+    // Two strips per column (coefficients + evaluated output); evaluation
+    // needs whole coefficient columns, so the plan stages even when Off.
     const std::size_t npts = m_points.extent(0);
-    const std::size_t nv = m_velocities.extent(0);
+    const std::size_t col_bytes =
+            (m_builder.basis().nbasis() + npts) * sizeof(double);
     const std::size_t fixed =
             factor_footprint_bytes(m_builder.solver().device_data())
             + npts * sizeof(double);
-    m_tile = m_builder.tile_policy().fused_advect_tile_cols(
-            n, npts, nv, static_cast<std::size_t>(m_width), fixed);
+    m_tile = m_builder.tile_policy().tile_cols(
+            col_bytes, m_velocities.extent(0),
+            static_cast<std::size_t>(m_width), fixed);
 }
 
 } // namespace pspl::advection

@@ -74,7 +74,8 @@ public:
     /// factors are shared, not copied), the evaluator, the interpolation
     /// points of the basis and the per-row velocities. The batch tile
     /// width is resolved here, once, from the builder's tile policy
-    /// through the fused-advection L2 model (strips + factors + points).
+    /// through the shared tile rule (two strips per column, next to the
+    /// factors and points).
     AdvectionPlan(const core::SplineBuilder& builder,
                   core::SplineEvaluator evaluator, View1D<double> points,
                   View1D<double> velocities, double dt);
@@ -91,18 +92,6 @@ public:
     const View1D<double>& points() const { return m_points; }
     const View1D<double>& velocities() const { return m_velocities; }
     double dt() const { return m_dt; }
-
-    /// Per-slot staging footprint in bytes: the coefficient strip, plus
-    /// the output strip when the destination is transposed.
-    std::size_t slot_bytes(bool transposed_out) const
-    {
-        const std::size_t n = m_builder.basis().nbasis();
-        const std::size_t strip = n * m_tile * sizeof(double);
-        const std::size_t outs =
-                transposed_out ? m_points.extent(0) * m_tile * sizeof(double)
-                               : 0;
-        return strip + outs;
-    }
 
     /// One fused semi-Lagrangian step in place: f (nv, n) holds values on
     /// entry and the advected values f(j, i) = s_j(points(i) - v_j*dt) on

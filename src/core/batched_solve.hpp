@@ -316,15 +316,17 @@ PSPL_FORCEINLINE_FUNCTION void solve_strip(const SData& s,
 
 namespace detail {
 
-/// Tile width a fused driver actually runs: the requested width (one pack
-/// when untiled), never wider than the batch rounded up to whole packs.
-/// This is also the width the "tile_w=" span records.
-inline std::size_t run_tile_cols(std::size_t tile, std::size_t batch,
-                                 std::size_t wide)
+/// Tile width of the FP64 builder drivers: the shared tile rule over n
+/// doubles per column, or 0 -- one pack per tile, no "tile_w=" span --
+/// when the policy streams the block.
+inline std::size_t builder_tile_cols(const TilePolicy& policy, std::size_t n,
+                                     std::size_t batch,
+                                     std::size_t pack_width)
 {
-    const std::size_t want = tile > 0 ? tile : wide;
-    const std::size_t batch_cols = (batch + wide - 1) / wide * wide;
-    return batch_cols > 0 && want > batch_cols ? batch_cols : want;
+    const std::size_t col_bytes = n * sizeof(double);
+    return policy.streams(col_bytes, batch)
+                   ? 0
+                   : policy.tile_cols(col_bytes, batch, pack_width, 0);
 }
 
 /// In-place fused solve, one column at a time: each thread walks the
@@ -332,6 +334,8 @@ inline std::size_t run_tile_cols(std::size_t tile, std::size_t batch,
 /// columns a thread visits into L2-sized spans (bounding the factor
 /// re-sweep distance) without changing any per-column arithmetic; an
 /// untiled run (tile = 0) dispatches one column per iteration.
+/// Kept beside solve_staged<1>, which lost 5 of 6 build_table3 pairs
+/// (0.185 -> 0.286 s per step; EXPERIMENTS.md, "One tile-width rule").
 template <bool UseSpmv, class Exec, class BView>
 void solve_inplace(const SchurDeviceData& s, const BView& b,
                    std::size_t batch, std::size_t tile)
@@ -342,7 +346,7 @@ void solve_inplace(const SchurDeviceData& s, const BView& b,
                             ALL);
     const char* label = UseSpmv ? "pspl::batched::SerialQsolve-Spmv"
                                 : "pspl::batched::SerialQsolve-Gemv";
-    const std::size_t cols = run_tile_cols(tile, batch, 1);
+    const std::size_t cols = tile > 0 ? tile : 1;
     profiling::Timer timer;
     for_each_batch_tile(label, RangePolicy<Exec>(batch), cols,
                         [=](const BatchTile& t) {
@@ -381,7 +385,7 @@ void solve_staged(const SchurDeviceData& s, const BView& b,
     PSPL_DEBUG_ASSERT(tile % wide == 0,
                       "solve_staged: tile must be a multiple of the pack "
                       "width");
-    const std::size_t cols = run_tile_cols(tile, batch, wide);
+    const std::size_t cols = tile > 0 ? tile : wide;
     // Per-thread staging carved out of the persistent workspace arena (no
     // heap allocation per solve call). The scratch guard tells the
     // write-conflict detector that per-thread reuse of the slot across
@@ -457,8 +461,8 @@ void schur_solve_batched_simd(const SchurDeviceData& s, const BView& b,
                   "schur_solve_batched_simd pack width must be a positive "
                   "power of two");
     const std::size_t batch = b.extent(1);
-    const std::size_t tile = policy.tile_cols(
-            s.n, batch, sizeof(double), static_cast<std::size_t>(W));
+    const std::size_t tile = detail::builder_tile_cols(
+            policy, s.n, batch, static_cast<std::size_t>(W));
     if (use_spmv) {
         detail::solve_staged<W, true, Exec>(s, b, batch, tile);
     } else {
@@ -507,7 +511,7 @@ void schur_solve_batched(const SchurDeviceData& s, const BView& b,
                                                  policy);
         return;
     }
-    const std::size_t tile = policy.tile_cols(s.n, batch, sizeof(double), 1);
+    const std::size_t tile = detail::builder_tile_cols(policy, s.n, batch, 1);
     if (chain.use_spmv) {
         detail::solve_inplace<true, Exec>(s, b, batch, tile);
     } else {

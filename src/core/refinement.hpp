@@ -641,16 +641,16 @@ RefinementStats solve_refined_batched(
                                         : mixed_staging_bytes(
                                                   sizeof(SrcScalar));
     // Tile width. Single runs the whole chain on one staged buffer, so it
-    // uses the L2 cache model like the FP64 path. Mixed compute is
-    // strip-mined inside the tile (see solve_mixed_tile), so its outer
-    // tile balances two pressures instead: wide rows make the strided
-    // gather read near-sequential, but the slot is re-walked by every
-    // stage, so it must stay L3-warm -- a few MiB wins over streaming
-    // widths in measurement (explicit PSPL_TILE widths are still honored
-    // -- that is what ablations are for).
+    // takes the shared tile rule (Off included: this pipeline must
+    // stage). Mixed compute is strip-mined inside the tile (see
+    // solve_mixed_tile), so its outer tile balances two pressures instead:
+    // wide rows make the strided gather read near-sequential, but the slot
+    // is re-walked by every stage, so it must stay L3-warm -- a 6 MiB slot
+    // wins over streaming widths in measurement (explicit PSPL_TILE widths
+    // are still honored -- that is what ablations are for).
     std::size_t tc;
     if (single || policy.mode == TilePolicy::Mode::Explicit) {
-        tc = policy.staged_tile_cols(n, batch, staging, wf);
+        tc = policy.tile_cols(n * staging, batch, wf, 0);
     } else {
         // Round to whole 4-pack strips so every full strip takes the
         // super-pack solve path.

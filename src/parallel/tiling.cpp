@@ -1,5 +1,6 @@
 #include "parallel/tiling.hpp"
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -102,124 +103,57 @@ TilePolicy TilePolicy::from_env()
     if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0) {
         return off();
     }
-    const long long v = std::atoll(env);
-    if (v > 0) {
+    // The whole string must be an unsigned integer: strtoull alone would
+    // accept a sign, leading blanks and a trailing suffix ("1e3" -> 1).
+    char* end = nullptr;
+    const unsigned long long v = std::strtoull(env, &end, 10);
+    if (std::isdigit(static_cast<unsigned char>(*env)) != 0 && *end == '\0'
+        && v > 0) {
         return explicit_width(static_cast<std::size_t>(v));
     }
     return automatic(); // unparseable: fall back to the model
 }
 
-std::size_t TilePolicy::tile_cols(std::size_t rows, std::size_t batch_cols,
-                                  std::size_t value_bytes,
-                                  std::size_t pack_width) const
+std::size_t TilePolicy::tile_cols(std::size_t col_bytes,
+                                  std::size_t batch_cols,
+                                  std::size_t pack_width,
+                                  std::size_t fixed_bytes) const
 {
-    if (mode == Mode::Off) {
-        return 0;
-    }
     const std::size_t w = pack_width > 0 ? pack_width : 1;
     std::size_t cols = 0;
     if (mode == Mode::Explicit) {
-        // Round the request up to a pack multiple so tile boundaries stay
-        // on chunk boundaries (the bitwise-identity invariant).
-        cols = (tile + w - 1) / w * w;
+        // Clamp before rounding up (a huge request must not wrap), then
+        // round up to a pack multiple so tile boundaries stay on pack
+        // boundaries (the bitwise-identity invariant).
+        const std::size_t want = tile < max_tile_cols ? tile : max_tile_cols;
+        cols = (want + w - 1) / w * w;
     } else {
-        // Auto, streaming guard: once the whole (rows, batch) block
-        // exceeds the last-level cache, every pass streams from DRAM and
-        // the single-pass fused chain gains nothing from staging -- the
-        // gather/scatter would be pure extra copy traffic. Run untiled.
-        // (Division keeps the comparison overflow-safe for huge batches.)
-        const std::size_t row_bytes = rows * value_bytes;
-        if (row_bytes > 0 && batch_cols > l3_cache_bytes() / row_bytes) {
-            return 0;
-        }
-        // The staged tile (rows * cols * value_bytes) targets half of L2,
-        // leaving room for the factor data swept once per column.
-        const std::size_t budget = l2_cache_bytes() / 2;
-        cols = row_bytes > 0 ? budget / row_bytes : max_tile_cols;
+        const std::size_t l2 = l2_cache_bytes();
+        // Kept: without the carve-out the e2e plan widths move (62 -> 65)
+        // for no measured gain (EXPERIMENTS.md, "One tile-width rule").
+        const std::size_t carve = fixed_bytes < l2 / 4 ? fixed_bytes : l2 / 4;
+        const std::size_t budget = l2 / 2 - carve / 2;
+        cols = col_bytes > 0 ? budget / col_bytes : max_tile_cols;
         cols = cols / w * w; // round down to a pack multiple
     }
-    if (cols < w) {
-        cols = w;
-    }
-    const std::size_t cap = max_tile_cols / w * w > 0
-                                    ? max_tile_cols / w * w
-                                    : w;
+    const std::size_t cap = max_tile_cols / w * w;
     if (cols > cap) {
         cols = cap;
     }
-    return cols;
+    const std::size_t batch_packs = (batch_cols + w - 1) / w * w;
+    if (batch_packs > 0 && cols > batch_packs) {
+        cols = batch_packs;
+    }
+    return cols > w ? cols : w;
 }
 
-std::size_t TilePolicy::staged_tile_cols(std::size_t rows,
-                                         std::size_t batch_cols,
-                                         std::size_t staging_bytes,
-                                         std::size_t pack_width) const
+bool TilePolicy::streams(std::size_t col_bytes, std::size_t batch_cols) const
 {
-    const std::size_t w = pack_width > 0 ? pack_width : 1;
-    std::size_t cols = 0;
-    if (mode == Mode::Explicit && tile > 0) {
-        cols = (tile + w - 1) / w * w;
-    } else {
-        // L2 model only -- no streaming guard: a staged pipeline gathers
-        // and scatters regardless, so the only question is how wide a tile
-        // fits. Half of L2 for the staging buffers, the rest for factors.
-        const std::size_t elem_bytes = rows * staging_bytes;
-        const std::size_t budget = l2_cache_bytes() / 2;
-        cols = elem_bytes > 0 ? budget / elem_bytes : max_tile_cols;
-        cols = cols / w * w;
+    if (mode != Mode::Auto) {
+        return mode == Mode::Off;
     }
-    if (cols < w) {
-        cols = w;
-    }
-    const std::size_t batch_rounded = (batch_cols + w - 1) / w * w;
-    if (batch_rounded > 0 && cols > batch_rounded) {
-        cols = batch_rounded;
-    }
-    const std::size_t cap = max_tile_cols / w * w > 0
-                                    ? max_tile_cols / w * w
-                                    : w;
-    if (cols > cap) {
-        cols = cap;
-    }
-    return cols;
-}
-
-std::size_t TilePolicy::fused_advect_tile_cols(std::size_t rows,
-                                               std::size_t npts,
-                                               std::size_t batch_cols,
-                                               std::size_t pack_width,
-                                               std::size_t fixed_bytes) const
-{
-    const std::size_t w = pack_width > 0 ? pack_width : 1;
-    std::size_t cols = 0;
-    if (mode == Mode::Explicit && tile > 0) {
-        cols = (tile + w - 1) / w * w;
-    } else {
-        // Strip budget: half of L2 minus the fixed working set (factors +
-        // points), the carve-out capped at a quarter of L2 so oversized
-        // factor models cannot starve the strips entirely.
-        const std::size_t l2 = l2_cache_bytes();
-        const std::size_t carve =
-                fixed_bytes < l2 / 4 ? fixed_bytes : l2 / 4;
-        const std::size_t budget = l2 / 2 - carve / 2;
-        const std::size_t per_col = (rows + npts) * sizeof(double);
-        cols = per_col > 0 ? budget / per_col : max_tile_cols;
-        cols = cols / w * w;
-    }
-    if (cols < w) {
-        cols = w;
-    }
-    const std::size_t batch_rounded = (batch_cols + w - 1) / w * w;
-    if (batch_rounded > 0 && cols > batch_rounded) {
-        cols = batch_rounded;
-    }
-    const std::size_t cap = max_tile_cols / w * w > 0
-                                    ? max_tile_cols / w * w
-                                    : w;
-    if (cols > cap) {
-        cols = cap;
-    }
-    return cols;
+    // Division keeps the comparison overflow-safe for huge batches.
+    return col_bytes > 0 && batch_cols > l3_cache_bytes() / col_bytes;
 }
 
 std::string TilePolicy::describe() const

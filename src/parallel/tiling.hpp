@@ -2,27 +2,36 @@
 // every pipeline stage of a batched solve runs over one cache-resident tile
 // before the next tile is touched.
 //
-// The cache model is deliberately simple: one tile of a (n, batch) RHS
-// block costs n * value_bytes per column, and the tile is sized so the
-// staged tile fills about half of L2 (the other half is left for the
-// factorized matrix data and the stack).  The width is rounded to a
-// multiple of the SIMD pack width so tile boundaries coincide with pack
-// chunk boundaries -- that is what makes the tiled path bitwise identical
-// to the untiled one.
+// One rule sizes the tile of every staged pipeline,
+// TilePolicy::tile_cols(col_bytes, batch_cols, pack_width, fixed_bytes):
+// the staged slot costs `col_bytes` per batch column, and the tile fills
+// half of L2 less half of the resident data every column re-reads
+// (`fixed_bytes`, capped at a quarter of L2 so it cannot zero the budget).
+// The width is rounded to a multiple of the SIMD pack width (down for the
+// model, up for an explicit request), so tile boundaries coincide with
+// pack boundaries -- that is what makes the tiled path bitwise identical
+// to the untiled one -- and clamped to at least one pack and at most the
+// batch rounded up to whole packs and 4096 rounded down. The callers:
+//
+//   caller                                  col_bytes        fixed_bytes
+//   FP64 builder (solve_inplace/_staged)    n * 8            0
+//   Precision::Single, Mixed when explicit  n * staging      0
+//   AdvectionPlan                           (n + npts) * 8   factors + points
 //
 // Streaming guard: staging pays when the working set is cache-resident
 // (it converts the untiled path's strided pack loads into contiguous
 // sweeps), but once the whole block exceeds the last-level cache every
 // pass streams from DRAM anyway -- the fused chain is already single-pass
-// per pack, so the gather/scatter would only add copy traffic.  Auto mode
-// therefore falls back to the untiled dispatch when
-// rows * batch * value_bytes > l3_cache_bytes(); explicit widths are
-// always honored (that is what ablations are for).
+// per pack, so the gather/scatter would only add copy traffic.
+// TilePolicy::streams() is that predicate; only the FP64 builder asks it,
+// and runs one pack per tile when it holds. The other pipelines must
+// stage, so Off still gets them the L2 width.
 //
 // PSPL_TILE overrides the model at runtime:
 //   unset / "auto"  -> cache model (default)
-//   "off" / "0"     -> untiled legacy path (the 0-ULP reference)
-//   <positive int>  -> explicit tile width in batch columns
+//   "off" / "0"     -> the FP64 builder runs untiled (the 0-ULP reference)
+//   <unsigned int>  -> explicit tile width in batch columns
+//   anything else   -> auto
 #pragma once
 
 #include "parallel/parallel.hpp"
@@ -45,7 +54,7 @@ std::size_t l3_cache_bytes();
 struct TilePolicy {
     enum class Mode {
         Auto,     ///< size tiles from the L2 cache model
-        Off,      ///< untiled: one dispatch over the whole batch
+        Off,      ///< FP64 builder untiled; staged pipelines as Auto
         Explicit, ///< honor `tile` (rounded to a pack multiple)
     };
 
@@ -61,49 +70,16 @@ struct TilePolicy {
         return {Mode::Explicit, w};
     }
 
-    bool tiled() const { return mode != Mode::Off; }
+    /// The one tile-width rule (see the file comment): batch columns per
+    /// tile for `col_bytes` of slot per column, `pack_width` columns at a
+    /// time, next to `fixed_bytes` of data every column re-reads.
+    std::size_t tile_cols(std::size_t col_bytes, std::size_t batch_cols,
+                          std::size_t pack_width,
+                          std::size_t fixed_bytes) const;
 
-    /// Tile width in batch columns for a (rows, batch_cols) block of
-    /// `value_bytes`-sized elements processed `pack_width` columns at a
-    /// time. A non-zero result is always a multiple of pack_width, at
-    /// least pack_width, and capped so per-thread staging stays bounded.
-    /// Returns 0 -- run the untiled dispatch -- in Off mode, and in Auto
-    /// mode when the whole block exceeds the last-level cache (the
-    /// streaming guard: beyond L3 the fused single-pass chain streams
-    /// from DRAM either way and staging would only add copy traffic).
-    std::size_t tile_cols(std::size_t rows, std::size_t batch_cols,
-                          std::size_t value_bytes,
-                          std::size_t pack_width) const;
-
-    /// Tile width for a pipeline that *must* stage (the mixed-precision
-    /// driver keeps FP32 and FP64 mirrors of every staged element, so
-    /// running untiled is not an option). `staging_bytes` is the summed
-    /// per-element footprint of all staging buffers -- 4 for a pure FP32
-    /// tile (tiles widen vs FP64, the element-size dependence of the
-    /// model), ~20 for the mixed loop's f32 + f64 + residual mirrors.
-    /// Differences from tile_cols: the streaming guard does not apply
-    /// (staging is the point, not an optimization), and Off/degenerate
-    /// requests still yield a usable width from the L2 model.
-    std::size_t staged_tile_cols(std::size_t rows, std::size_t batch_cols,
-                                 std::size_t staging_bytes,
-                                 std::size_t pack_width) const;
-
-    /// Tile width for the fused build->evaluate advection pipeline, whose
-    /// per-thread slot must hold *two* strips per batch column -- the
-    /// staged RHS/coefficient strip (rows values) and the evaluated output
-    /// strip (npts values) -- while the Schur factors plus the
-    /// interpolation-point array (`fixed_bytes`, swept once per column by
-    /// the solve and the basis evaluation) stay resident next to them.
-    /// The L2 model budgets half the cache for the strips after carving
-    /// out the fixed working set (capped at a quarter of L2 so degenerate
-    /// factor sizes cannot zero the budget). Like staged_tile_cols, there
-    /// is no streaming guard and Off still yields a usable width: the
-    /// fused pipeline must stage (evaluation needs the whole coefficient
-    /// column), so the only question is how wide a tile fits.
-    std::size_t fused_advect_tile_cols(std::size_t rows, std::size_t npts,
-                                       std::size_t batch_cols,
-                                       std::size_t pack_width,
-                                       std::size_t fixed_bytes) const;
+    /// The FP64 builder's streaming guard: true in Off mode, and in Auto
+    /// mode when the whole block exceeds the last-level cache.
+    bool streams(std::size_t col_bytes, std::size_t batch_cols) const;
 
     /// Human/JSON form: "auto", "off", or the explicit width.
     std::string describe() const;

@@ -115,8 +115,27 @@ TEST_F(FusedAdvection, ActiveByDefaultForDirectFusedDouble)
     EXPECT_EQ(plan.tile_cols()
                       % static_cast<std::size_t>(plan.pack_width()),
               0u);
-    EXPECT_GT(plan.slot_bytes(false), 0u);
-    EXPECT_GT(plan.slot_bytes(true), plan.slot_bytes(false));
+}
+
+TEST_F(FusedAdvection, OffTilePolicyStillStagesAtTheL2Width)
+{
+    // Off means "untiled" only for the FP64 builder: the plan must stage
+    // whole coefficient columns, so it keeps the L2 width, not one pack.
+    const auto basis = BSplineBasis::uniform(3, 64, 0.0, 1.0);
+    const BatchedAdvection1D adv(basis, uniform_velocities(200, -1.0, 1.0),
+                                 0.01);
+    const core::SplineEvaluator evaluator(basis);
+    core::SplineBuilder builder(basis, BuilderVersion::FusedSpmv);
+    builder.set_tile_policy(TilePolicy::automatic());
+    const AdvectionPlan automatic(builder, evaluator, adv.points(),
+                                  adv.velocities(), adv.dt());
+    builder.set_tile_policy(TilePolicy::off());
+    const AdvectionPlan off(builder, evaluator, adv.points(),
+                            adv.velocities(), adv.dt());
+    ASSERT_TRUE(automatic.fusable());
+    EXPECT_GT(automatic.tile_cols(),
+              static_cast<std::size_t>(automatic.pack_width()));
+    EXPECT_EQ(off.tile_cols(), automatic.tile_cols());
 }
 
 TEST_F(FusedAdvection, ConfigResolution)

@@ -7,6 +7,7 @@
 #include "core/precision.hpp"
 #include "core/refinement.hpp"
 #include "core/spline_builder.hpp"
+#include "parallel/deep_copy.hpp"
 #include "parallel/tiling.hpp"
 #include "parallel/view.hpp"
 
@@ -178,6 +179,30 @@ TEST(Refinement, ExplicitTileWidthsAgree)
         EXPECT_LE(p.rel_err(x), 1e-11) << "tile " << tc;
         EXPECT_EQ(stats.tiles, (kBatch + tc - 1) / tc) << "tile " << tc;
     }
+}
+
+TEST(Refinement, SingleOffTilePolicyKeepsTheL2Width)
+{
+    // Off means "untiled" only for the FP64 builder: the FP32 pipeline
+    // must stage, so it keeps the L2 width instead of one-pack tiles.
+    Problem p;
+    SplineBuilder builder(p.basis, core::BuilderVersion::FusedSpmvSimd);
+    builder.set_precision(Precision::Single);
+    std::size_t tiles[2] = {0, 0};
+    const TilePolicy policies[2] = {TilePolicy::automatic(),
+                                    TilePolicy::off()};
+    for (int i = 0; i < 2; ++i) {
+        View2D<double> x("x", p.b.extent(0), kBatch);
+        deep_copy(x, p.b);
+        builder.set_tile_policy(policies[i]);
+        builder.build_inplace(x);
+        tiles[i] = builder.last_refinement_stats().tiles;
+    }
+    // The FP32 pipeline's pack is 2W columns; one-pack tiles would need
+    // this many tiles.
+    constexpr std::size_t pack = 2 * simd_preferred_width<double>;
+    EXPECT_LT(tiles[0], (kBatch + pack - 1) / pack);
+    EXPECT_EQ(tiles[1], tiles[0]);
 }
 
 TEST(Refinement, TightTargetStaysWithinIterationBudget)

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -75,43 +76,64 @@ TEST(TilePolicy, EnvOffOrZeroDisablesTiling)
         ScopedEnv env("PSPL_TILE", v);
         const TilePolicy p = TilePolicy::from_env();
         EXPECT_EQ(p.mode, TilePolicy::Mode::Off) << v;
-        EXPECT_FALSE(p.tiled());
-        EXPECT_EQ(p.tile_cols(1000, 4096, sizeof(double), 8), 0u);
+        EXPECT_TRUE(p.streams(1000 * sizeof(double), 4096)) << v;
     }
 }
 
 TEST(TilePolicy, EnvPositiveIntegerIsExplicitWidth)
 {
-    ScopedEnv env("PSPL_TILE", "96");
-    const TilePolicy p = TilePolicy::from_env();
-    EXPECT_EQ(p.mode, TilePolicy::Mode::Explicit);
-    EXPECT_EQ(p.tile, 96u);
-    EXPECT_EQ(p.describe(), "96");
+    {
+        ScopedEnv env("PSPL_TILE", "96");
+        const TilePolicy p = TilePolicy::from_env();
+        EXPECT_EQ(p.mode, TilePolicy::Mode::Explicit);
+        EXPECT_EQ(p.tile, 96u);
+        EXPECT_EQ(p.describe(), "96");
+    }
+    {
+        // Out of range: the width is clamped to the cap before rounding.
+        ScopedEnv env("PSPL_TILE", "99999999999999999999999");
+        const TilePolicy p = TilePolicy::from_env();
+        EXPECT_EQ(p.mode, TilePolicy::Mode::Explicit);
+        EXPECT_EQ(p.tile_cols(8000, 100000, 8, 0), 4096u);
+    }
 }
 
 TEST(TilePolicy, EnvGarbageFallsBackToAuto)
 {
-    ScopedEnv env("PSPL_TILE", "banana");
-    EXPECT_EQ(TilePolicy::from_env().mode, TilePolicy::Mode::Auto);
+    for (const char* v : {"banana", "1e3", "128k", "12abc", "-5"}) {
+        ScopedEnv env("PSPL_TILE", v);
+        EXPECT_EQ(TilePolicy::from_env().mode, TilePolicy::Mode::Auto) << v;
+    }
 }
 
 TEST(TilePolicy, ExplicitWidthRoundsUpToPackMultiple)
 {
     const TilePolicy p = TilePolicy::explicit_width(13);
-    EXPECT_EQ(p.tile_cols(1000, 4096, sizeof(double), 8), 16u);
-    EXPECT_EQ(p.tile_cols(1000, 4096, sizeof(double), 4), 16u);
-    EXPECT_EQ(p.tile_cols(1000, 4096, sizeof(double), 1), 13u);
+    for (const std::size_t col_bytes :
+         {std::size_t{1000} * sizeof(double), // builder: n doubles
+          std::size_t{1000 + 1000} * sizeof(double)}) { // plan: n + npts
+        EXPECT_EQ(p.tile_cols(col_bytes, 4096, 8, 0), 16u);
+        EXPECT_EQ(p.tile_cols(col_bytes, 4096, 4, 0), 16u);
+        EXPECT_EQ(p.tile_cols(col_bytes, 4096, 1, 0), 13u);
+    }
     // Requests below one pack are raised to a full pack.
-    EXPECT_EQ(TilePolicy::explicit_width(1).tile_cols(1000, 4096, 8, 8), 8u);
+    EXPECT_EQ(TilePolicy::explicit_width(1).tile_cols(8000, 4096, 8, 0), 8u);
+    // The tile never exceeds the batch rounded up to a whole pack...
+    EXPECT_EQ(TilePolicy::explicit_width(4096).tile_cols(
+                      (1000 + 1000) * sizeof(double), 37, 8, 0),
+              40u);
+    // ...nor the 4096-column cap, however large the request.
+    EXPECT_EQ(TilePolicy::explicit_width(SIZE_MAX).tile_cols(8000, 100000,
+                                                             8, 0),
+              4096u);
 }
 
 TEST(TilePolicy, AutoModelIsPackMultipleAndShrinksWithRowCount)
 {
     const TilePolicy p = TilePolicy::automatic();
     std::size_t prev = 0;
-    // batch = 256 keeps every case below the L3 streaming guard.
     for (const std::size_t rows : {16384u, 4096u, 1024u, 256u}) {
-        const std::size_t w = p.tile_cols(rows, 256, sizeof(double), 8);
+        const std::size_t w = p.tile_cols(rows * sizeof(double), 256, 8, 0);
         EXPECT_GE(w, 8u) << rows;
         EXPECT_EQ(w % 8, 0u) << rows;
         // Fewer rows per column -> more columns fit in L2.
@@ -120,74 +142,65 @@ TEST(TilePolicy, AutoModelIsPackMultipleAndShrinksWithRowCount)
     }
     // The model stages about half of L2.
     const std::size_t rows = 1000;
-    const std::size_t w = p.tile_cols(rows, 256, sizeof(double), 8);
+    const std::size_t w = p.tile_cols(rows * sizeof(double), 256, 8, 0);
     EXPECT_LE(w * rows * sizeof(double), pspl::l2_cache_bytes());
+    // Tiny columns are still bounded by the staging cap.
+    const std::size_t cap_w =
+            p.tile_cols((1 + 1) * sizeof(double), 1u << 24, 8, 0);
+    EXPECT_LE(cap_w, 4096u);
+    EXPECT_EQ(cap_w % 8, 0u);
 }
 
 TEST(TilePolicy, AutoStreamingGuardFallsBackToUntiledBeyondL3)
 {
     const TilePolicy p = TilePolicy::automatic();
-    const std::size_t rows = 1000;
+    const std::size_t col_bytes = 1000 * sizeof(double);
     // Largest batch whose whole (rows, batch) block still fits in L3.
-    const std::size_t fit = pspl::l3_cache_bytes() / (rows * sizeof(double));
-    EXPECT_GT(p.tile_cols(rows, fit, sizeof(double), 8), 0u);
+    const std::size_t fit = pspl::l3_cache_bytes() / col_bytes;
+    EXPECT_FALSE(p.streams(col_bytes, fit));
     // One column past the last-level cache: the fused chain streams from
     // DRAM either way, so auto runs untiled instead of paying the staging
     // copies.
-    EXPECT_EQ(p.tile_cols(rows, fit + 1, sizeof(double), 8), 0u);
+    EXPECT_TRUE(p.streams(col_bytes, fit + 1));
     // Explicit requests are always honored (ablations need to measure the
     // streaming regime too).
-    EXPECT_EQ(TilePolicy::explicit_width(128).tile_cols(rows, 2 * fit,
-                                                        sizeof(double), 8),
-              128u);
+    const TilePolicy e = TilePolicy::explicit_width(128);
+    EXPECT_FALSE(e.streams(col_bytes, 2 * fit));
+    EXPECT_EQ(e.tile_cols(col_bytes, 2 * fit, 8, 0), 128u);
 }
 
-TEST(TilePolicy, FusedAdvectModelBudgetsStripsPlusFixedSet)
+TEST(TilePolicy, AutoModelCarvesOutFixedSet)
 {
     const TilePolicy p = TilePolicy::automatic();
     const std::size_t rows = 1000;
     const std::size_t npts = 1000;
+    const std::size_t col_bytes = (rows + npts) * sizeof(double);
     const std::size_t l2 = pspl::l2_cache_bytes();
 
-    // Pack multiple, at least one pack, and the two strips (rows + npts
-    // doubles per column) fit the modeled half-L2 budget.
-    const std::size_t w = p.fused_advect_tile_cols(rows, npts, 100000, 8, 0);
+    // Pack multiple, at least one pack, and the two strips of the
+    // advection plan (rows + npts doubles per column) fit half of L2.
+    const std::size_t w = p.tile_cols(col_bytes, 100000, 8, 0);
     EXPECT_GE(w, 8u);
     EXPECT_EQ(w % 8, 0u);
-    EXPECT_LE(w * (rows + npts) * sizeof(double), l2 / 2);
+    EXPECT_LE(w * col_bytes, l2 / 2);
 
     // A larger fixed working set (Schur factors + points) can only shrink
     // the strip tile, and the quarter-L2 carve cap keeps even absurd
     // factor footprints from starving it below one pack.
-    const std::size_t w_fixed =
-            p.fused_advect_tile_cols(rows, npts, 100000, 8, l2 / 8);
+    const std::size_t w_fixed = p.tile_cols(col_bytes, 100000, 8, l2 / 8);
     EXPECT_LE(w_fixed, w);
-    EXPECT_GE(p.fused_advect_tile_cols(rows, npts, 100000, 8, 16 * l2), 8u);
+    EXPECT_GE(p.tile_cols(col_bytes, 100000, 8, 16 * l2), 8u);
+    // Exactly: the carve-out is half the fixed set, the set capped at L2/4.
+    const auto model = [&](std::size_t carve) {
+        return std::max<std::size_t>(
+                8, (l2 / 2 - carve / 2) / col_bytes / 8 * 8);
+    };
+    EXPECT_EQ(w_fixed, model(l2 / 8));
+    EXPECT_EQ(p.tile_cols(col_bytes, 100000, 8, 16 * l2), model(l2 / 4));
 
-    // No streaming guard: unlike tile_cols, batches way past L3 still get
-    // a nonzero width (the fused pipeline must stage).
-    EXPECT_GT(p.fused_advect_tile_cols(rows, npts, 1u << 24, 8, 0), 0u);
-}
-
-TEST(TilePolicy, FusedAdvectModelRoundsAndClamps)
-{
-    // Explicit requests round up to a pack multiple.
-    EXPECT_EQ(TilePolicy::explicit_width(13).fused_advect_tile_cols(
-                      1000, 1000, 100000, 8, 0),
-              16u);
-    EXPECT_EQ(TilePolicy::explicit_width(13).fused_advect_tile_cols(
-                      1000, 1000, 100000, 1, 0),
-              13u);
-    // The tile never exceeds the batch rounded up to a whole pack...
-    EXPECT_EQ(TilePolicy::explicit_width(4096).fused_advect_tile_cols(
-                      1000, 1000, 37, 8, 0),
-              40u);
-    // ...and tiny strips are still bounded by the staging cap.
-    const std::size_t cap_w =
-            TilePolicy::automatic().fused_advect_tile_cols(1, 1, 1u << 24, 8,
-                                                           0);
-    EXPECT_LE(cap_w, 4096u);
-    EXPECT_EQ(cap_w % 8, 0u);
+    // The rule has no streaming guard: batches way past L3 still get a
+    // nonzero width (a pipeline that must stage never asks streams()).
+    EXPECT_GT(p.tile_cols(col_bytes, 1u << 24, 8, 0), 0u);
 }
 
 // ---------------------------------------------------------------------------
