@@ -109,20 +109,13 @@ TEST(TilePolicy, EnvGarbageFallsBackToAuto)
 TEST(TilePolicy, ExplicitWidthRoundsUpToPackMultiple)
 {
     const TilePolicy p = TilePolicy::explicit_width(13);
-    for (const std::size_t col_bytes :
-         {std::size_t{1000} * sizeof(double), // builder: n doubles
-          std::size_t{1000 + 1000} * sizeof(double)}) { // plan: n + npts
-        EXPECT_EQ(p.tile_cols(col_bytes, 4096, 8, 0), 16u);
-        EXPECT_EQ(p.tile_cols(col_bytes, 4096, 4, 0), 16u);
-        EXPECT_EQ(p.tile_cols(col_bytes, 4096, 1, 0), 13u);
-    }
+    const std::size_t col_bytes = 1000 * sizeof(double); // builder: n doubles
+    EXPECT_EQ(p.tile_cols(col_bytes, 4096, 8, 0), 16u);
+    EXPECT_EQ(p.tile_cols(col_bytes, 4096, 4, 0), 16u);
+    EXPECT_EQ(p.tile_cols(col_bytes, 4096, 1, 0), 13u);
     // Requests below one pack are raised to a full pack.
     EXPECT_EQ(TilePolicy::explicit_width(1).tile_cols(8000, 4096, 8, 0), 8u);
-    // The tile never exceeds the batch rounded up to a whole pack...
-    EXPECT_EQ(TilePolicy::explicit_width(4096).tile_cols(
-                      (1000 + 1000) * sizeof(double), 37, 8, 0),
-              40u);
-    // ...nor the 4096-column cap, however large the request.
+    // The 4096-column cap holds however large the request.
     EXPECT_EQ(TilePolicy::explicit_width(SIZE_MAX).tile_cols(8000, 100000,
                                                              8, 0),
               4096u);
@@ -144,11 +137,6 @@ TEST(TilePolicy, AutoModelIsPackMultipleAndShrinksWithRowCount)
     const std::size_t rows = 1000;
     const std::size_t w = p.tile_cols(rows * sizeof(double), 256, 8, 0);
     EXPECT_LE(w * rows * sizeof(double), pspl::l2_cache_bytes());
-    // Tiny columns are still bounded by the staging cap.
-    const std::size_t cap_w =
-            p.tile_cols((1 + 1) * sizeof(double), 1u << 24, 8, 0);
-    EXPECT_LE(cap_w, 4096u);
-    EXPECT_EQ(cap_w % 8, 0u);
 }
 
 TEST(TilePolicy, AutoStreamingGuardFallsBackToUntiledBeyondL3)
@@ -201,6 +189,27 @@ TEST(TilePolicy, AutoModelCarvesOutFixedSet)
     // The rule has no streaming guard: batches way past L3 still get a
     // nonzero width (a pipeline that must stage never asks streams()).
     EXPECT_GT(p.tile_cols(col_bytes, 1u << 24, 8, 0), 0u);
+}
+
+TEST(TilePolicy, FusedAdvectModelRoundsAndClamps)
+{
+    // The advection plan stages n + npts doubles per column.
+    const std::size_t col_bytes = (1000 + 1000) * sizeof(double);
+    // Explicit requests round up to a pack multiple.
+    EXPECT_EQ(TilePolicy::explicit_width(13).tile_cols(col_bytes, 100000, 8,
+                                                       0),
+              16u);
+    EXPECT_EQ(TilePolicy::explicit_width(13).tile_cols(col_bytes, 100000, 1,
+                                                       0),
+              13u);
+    // The tile never exceeds the batch rounded up to a whole pack...
+    EXPECT_EQ(TilePolicy::explicit_width(4096).tile_cols(col_bytes, 37, 8, 0),
+              40u);
+    // ...and tiny strips are still bounded by the staging cap.
+    const std::size_t cap_w = TilePolicy::automatic().tile_cols(
+            (1 + 1) * sizeof(double), 1u << 24, 8, 0);
+    EXPECT_LE(cap_w, 4096u);
+    EXPECT_EQ(cap_w % 8, 0u);
 }
 
 // ---------------------------------------------------------------------------
