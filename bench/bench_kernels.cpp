@@ -3,10 +3,12 @@
 // systems/compute (pttrs 2.941 ms, two gemms 3.795/4.423 ms, getrs 6.5 us
 // at (1000, 100000) on A100). One benchmark per solver kernel, all at the
 // same (n, batch) working set, so relative kernel costs can be compared
-// directly with the paper's Gantt-chart numbers. bm_evaluate_shifted times
-// the other half of the advection step, evaluation at the feet.
+// directly with the paper's Gantt-chart numbers. bm_solve_strip times the
+// whole fused column chain at pack widths 1, 4 and 8; bm_evaluate_shifted
+// times the other half of the advection step, evaluation at the feet.
 #include "batched/batched.hpp"
 #include "bench/common.hpp"
+#include "core/spline_builder.hpp"
 #include "core/spline_evaluator.hpp"
 #include "hostlapack/gbtrf.hpp"
 #include "hostlapack/getrf.hpp"
@@ -19,6 +21,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstring>
 #include <vector>
 
 namespace {
@@ -212,6 +215,47 @@ void bm_spmv_coo(benchmark::State& state)
                             * static_cast<int64_t>(nnz * batch));
 }
 
+template <int W>
+void bm_solve_strip(benchmark::State& state)
+{
+    // The fused FP64 column chain (Q-solve, spmv corner, Schur getrs, spmv
+    // corner), serially on the calling thread: core::solve_strip over an
+    // L2-resident 64-column row-major strip (500 KB at n = 1000), the way
+    // the staged builder and AdvectionPlan run it, in packs of W columns
+    // (W = 1 is the scalar chain). Uniform degree 3 solves Q with pttrs,
+    // stretched degree 5 with gbtrs. The strip is restored outside the
+    // timed region before every solve.
+    const int degree = static_cast<int>(state.range(0));
+    const bool uniform = state.range(1) != 0;
+    const std::size_t n = 1000;
+    constexpr std::size_t cols = 64;
+    constexpr std::size_t packs = cols / W;
+    const auto basis = bench::make_basis(degree, uniform, n);
+    const core::SplineBuilder builder(basis);
+    const core::SchurDeviceData s = builder.solver().device_data();
+    std::vector<double> pristine(n * cols);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t c = 0; c < cols; ++c) {
+            pristine[i * cols + c] = bench::hash_noise(i, c);
+        }
+    }
+    std::vector<simd<double, W>> strip(n * packs);
+    for (auto _ : state) {
+        state.PauseTiming();
+        std::memcpy(static_cast<void*>(strip.data()), pristine.data(),
+                    pristine.size() * sizeof(double));
+        state.ResumeTiming();
+        core::solve_strip<W, true>(s, strip.data(), packs, 0, packs);
+        benchmark::DoNotOptimize(strip.data());
+        benchmark::ClobberMemory();
+    }
+    // Inverted rate: seconds per column (printed with an SI prefix, "ns").
+    state.counters["time_per_column"] = benchmark::Counter(
+            static_cast<double>(cols),
+            benchmark::Counter::kIsIterationInvariantRate
+                    | benchmark::Counter::kInvert);
+}
+
 void bm_evaluate_shifted(benchmark::State& state)
 {
     // Evaluation at the feet (Algorithm 2, lines 6-10), serially on the
@@ -264,6 +308,21 @@ BENCHMARK(bm_pbtrs)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_gbtrs)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_getrs_small)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_spmv_coo)->Unit(benchmark::kMillisecond);
+BENCHMARK_TEMPLATE(bm_solve_strip, 1)
+        ->ArgNames({"degree", "uniform"})
+        ->Args({3, 1})
+        ->Args({5, 0})
+        ->Unit(benchmark::kMicrosecond);
+BENCHMARK_TEMPLATE(bm_solve_strip, 4)
+        ->ArgNames({"degree", "uniform"})
+        ->Args({3, 1})
+        ->Args({5, 0})
+        ->Unit(benchmark::kMicrosecond);
+BENCHMARK_TEMPLATE(bm_solve_strip, 8)
+        ->ArgNames({"degree", "uniform"})
+        ->Args({3, 1})
+        ->Args({5, 0})
+        ->Unit(benchmark::kMicrosecond);
 BENCHMARK(bm_evaluate_shifted)
         ->ArgNames({"degree", "uniform"})
         ->Args({3, 1})

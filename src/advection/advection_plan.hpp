@@ -22,10 +22,11 @@
 // arena) no allocation.
 //
 // Scope: the fused path covers the Direct method's fused builder versions
-// (Fused/FusedSpmv run the strip at W = 1, FusedSimd/FusedSpmvSimd at the
-// native pack width) at Precision::Double. Baseline (multi-pass GEMM) and
-// the reduced-precision pipelines keep the unfused path -- fusable()
-// reports false and BatchedAdvection1D falls back transparently.
+// (Fused/FusedSpmv run the strip at W = 1, FusedSimd/FusedSpmvSimd -- the
+// default -- at core::simd_chain_width = 8 on every ISA) at
+// Precision::Double. Baseline (multi-pass GEMM) and the reduced-precision
+// pipelines keep the unfused path -- fusable() reports false and
+// BatchedAdvection1D falls back transparently.
 #pragma once
 
 #include "advection/transpose.hpp"
@@ -86,7 +87,8 @@ public:
     /// Resolved batch tile width (a multiple of pack_width()).
     std::size_t tile_cols() const { return m_tile; }
     /// Pack width of the strip solve: 1 for the scalar fused versions,
-    /// the native SIMD width for the Simd versions.
+    /// core::simd_chain_width (8, whatever ISA the caller targets) for the
+    /// Simd versions.
     int pack_width() const { return m_width; }
     bool use_spmv() const { return m_use_spmv; }
     const View1D<double>& points() const { return m_points; }
@@ -131,11 +133,11 @@ public:
             }
             return;
         }
-        constexpr int native = simd_preferred_width<double>;
+        constexpr int wide = core::simd_chain_width;
         if (m_use_spmv) {
-            advect_impl<native, true, Exec>(f, out);
+            advect_impl<wide, true, Exec>(f, out);
         } else {
-            advect_impl<native, false, Exec>(f, out);
+            advect_impl<wide, false, Exec>(f, out);
         }
     }
 
@@ -150,15 +152,16 @@ private:
         const std::size_t npts = m_points.extent(0);
         const auto wide = static_cast<std::size_t>(W);
         const std::size_t tile = m_tile;
-        // The tile is a multiple of the pack width of the TU that resolved
-        // it (advection_plan.cpp), which may be narrower than this TU's W:
-        // size the strip for the ceil(cols / W) packs a tile stages.
-        const std::size_t tile_packs = (tile + wide - 1) / wide;
+        // The tile rule rounded the tile to whole packs of m_width == W
+        // columns, so the strip is n rows of exactly `tile` doubles.
+        PSPL_DEBUG_ASSERT(tile % wide == 0,
+                          "AdvectionPlan: tile must be a multiple of the "
+                          "pack width");
         // A transposed destination cannot take contiguous per-column
         // writes, so the evaluated tile is staged in an output strip and
         // scattered blockwise (contiguous tile-wide runs) instead.
         const bool out_rowwise = out.stride(1) == 1;
-        const std::size_t strip_bytes = n * tile_packs * sizeof(Pack);
+        const std::size_t strip_bytes = n * tile * sizeof(double);
         const std::size_t out_bytes =
                 out_rowwise ? 0 : tile * npts * sizeof(double);
         WorkspaceArena& arena = host_workspace_arena();

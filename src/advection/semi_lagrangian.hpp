@@ -33,7 +33,7 @@ public:
 
     struct Config {
         Method method = Method::Direct;
-        core::BuilderVersion version = core::BuilderVersion::FusedSpmv;
+        core::BuilderVersion version = core::default_builder_version;
         core::IterativeSplineBuilder::Options iterative{};
     };
 

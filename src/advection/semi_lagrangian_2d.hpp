@@ -25,7 +25,7 @@ public:
         /// pipeline is active on both, step() chains the passes through
         /// zero-copy transposed views and the whole Strang step runs with
         /// no physical transpose at all.
-        core::BuilderVersion version = core::BuilderVersion::FusedSpmv;
+        core::BuilderVersion version = core::default_builder_version;
     };
 
     /// `vx_of_y(j)` is the x-speed on row y_j; `vy_of_x(i)` the y-speed on

@@ -26,8 +26,10 @@ enum class BuilderVersion {
     Baseline = 0,
     Fused = 1,
     FusedSpmv = 2,
-    /// Fused kernel with W batch entries per iteration in simd<double, W>
-    /// packs (W = native vector width of the TU's ISA).
+    /// Fused kernel with simd_chain_width batch entries per iteration in
+    /// simd<double, 8> packs, on every ISA: the pack spans 4 registers on
+    /// SSE2, 2 on AVX2 and 1 on AVX-512, so 4, 2 or 1 independent
+    /// recurrences are in flight per instruction stream.
     FusedSimd = 3,
     /// FusedSpmv with the same SIMD-across-batch mapping.
     FusedSpmvSimd = 4,
@@ -35,11 +37,22 @@ enum class BuilderVersion {
 
 const char* to_string(BuilderVersion v);
 
+/// Pack width of the FP64 SIMD column chain (FusedSimd, FusedSpmvSimd and
+/// the fused advection plan), fixed so every translation unit -- whatever
+/// ISA it targets -- stages the same packs. Each lane performs the scalar
+/// chain's operations, so the width never changes a bit of the result.
+inline constexpr int simd_chain_width = 8;
+
+/// The builder version every default-constructed builder, advection and
+/// Vlasov driver runs: the COO-spmv chain on simd_chain_width packs.
+inline constexpr BuilderVersion default_builder_version =
+        BuilderVersion::FusedSpmvSimd;
+
 /// The fused chain a BuilderVersion selects: the corner-correction flavour
 /// (COO spmv, Listing 6, or dense gemv, Listing 4) and the pack width of
-/// the column chain (1 = one column at a time, otherwise this TU's native
-/// SIMD width). Baseline decodes as the spmv chain at width 1; only the
-/// reduced-precision pipeline, which has no multi-pass rung, reads it.
+/// the column chain (1 = one column at a time, otherwise
+/// simd_chain_width). Baseline decodes as the spmv chain at width 1; only
+/// the reduced-precision pipeline, which has no multi-pass rung, reads it.
 struct FusedChain {
     bool use_spmv;
     int pack_width;
@@ -47,14 +60,13 @@ struct FusedChain {
 
 constexpr FusedChain fused_chain(BuilderVersion v)
 {
-    constexpr int native = simd_preferred_width<double>;
     switch (v) {
     case BuilderVersion::Fused:
         return {false, 1};
     case BuilderVersion::FusedSimd:
-        return {false, native};
+        return {false, simd_chain_width};
     case BuilderVersion::FusedSpmvSimd:
-        return {true, native};
+        return {true, simd_chain_width};
     case BuilderVersion::Baseline:
     case BuilderVersion::FusedSpmv:
         break;
@@ -482,8 +494,8 @@ inline void attribute_schur_solve_cost(const SchurDeviceData& s,
 }
 
 /// Solve A x = b in place for every column of `b` (shape (n, batch)) with
-/// the requested kernel version. The SIMD versions use the native pack
-/// width of the ISA this translation unit was compiled for. The fused
+/// the requested kernel version. The SIMD versions run simd_chain_width
+/// columns per pack whatever ISA this translation unit targets. The fused
 /// versions run tile-resident under the given tile policy (PSPL_TILE by
 /// default, "off" recovers the untiled dispatch bit-for-bit); Baseline is
 /// the paper's multi-pass reference and is deliberately never tiled.
@@ -506,9 +518,8 @@ void schur_solve_batched(const SchurDeviceData& s, const BView& b,
     }
     const FusedChain chain = fused_chain(version);
     if (chain.pack_width > 1) {
-        constexpr int native_w = simd_preferred_width<double>;
-        schur_solve_batched_simd<native_w, Exec>(s, b, chain.use_spmv,
-                                                 policy);
+        schur_solve_batched_simd<simd_chain_width, Exec>(s, b, chain.use_spmv,
+                                                         policy);
         return;
     }
     const std::size_t tile = detail::builder_tile_cols(policy, s.n, batch, 1);

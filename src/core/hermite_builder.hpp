@@ -36,7 +36,7 @@ public:
     /// `basis` must be clamped with odd degree.
     explicit HermiteSplineBuilder(
             bsplines::BSplineBasis basis,
-            BuilderVersion version = BuilderVersion::FusedSpmv);
+            BuilderVersion version = default_builder_version);
 
     const bsplines::BSplineBasis& basis() const { return m_basis; }
     const SchurSolver& solver() const { return *m_solver; }
@@ -94,7 +94,7 @@ public:
 
 private:
     bsplines::BSplineBasis m_basis;
-    BuilderVersion m_version = BuilderVersion::FusedSpmv;
+    BuilderVersion m_version = default_builder_version;
     std::shared_ptr<const SchurSolver> m_solver;
     Precision m_precision = precision_from_env();
     std::vector<double> m_points; ///< break points (value rows)

@@ -11,9 +11,11 @@
 //   FusedSpmv -- the fused kernel with the dense GEMVs replaced by COO
 //                SpMV over the sparse corner blocks (Listing 6).
 // plus the host-SIMD variants FusedSimd / FusedSpmvSimd, which run the
-// fused kernels with W adjacent batch entries per iteration in
-// simd<double, W> packs (see parallel/simd.hpp) -- the host analogue of the
-// warp-level SIMT execution the GPU backends get from the same source.
+// fused kernels with 8 adjacent batch entries per iteration in
+// simd<double, 8> packs on every ISA (core::simd_chain_width; see
+// parallel/simd.hpp) -- the host analogue of the warp-level SIMT execution
+// the GPU backends get from the same source. FusedSpmvSimd is the default
+// (core::default_builder_version), bitwise equal to FusedSpmv.
 //
 // The RHS block is (n, batch) with the batch index contiguous
 // (GPU-coalesced; the paper notes this layout is hostile to CPU caches and
@@ -41,7 +43,7 @@ public:
     SplineBuilder() = default;
 
     explicit SplineBuilder(bsplines::BSplineBasis basis,
-                           BuilderVersion version = BuilderVersion::FusedSpmv,
+                           BuilderVersion version = default_builder_version,
                            SchurSolver::Options options = SchurSolver::Options());
 
     const bsplines::BSplineBasis& basis() const { return m_basis; }
@@ -121,7 +123,7 @@ public:
 
 private:
     bsplines::BSplineBasis m_basis;
-    BuilderVersion m_version = BuilderVersion::FusedSpmv;
+    BuilderVersion m_version = default_builder_version;
     std::shared_ptr<const SchurSolver> m_solver;
     std::optional<TilePolicy> m_tile;
     Precision m_precision = precision_from_env();

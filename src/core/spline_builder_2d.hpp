@@ -24,7 +24,7 @@ public:
 
     SplineBuilder2D(bsplines::BSplineBasis basis_x,
                     bsplines::BSplineBasis basis_y,
-                    BuilderVersion version = BuilderVersion::FusedSpmv)
+                    BuilderVersion version = default_builder_version)
         : m_builder_x(std::move(basis_x), version)
         , m_builder_y(std::move(basis_y), version)
     {

@@ -1,6 +1,7 @@
 #include "vlasov/vlasov_poisson.hpp"
 
 #include "parallel/macros.hpp"
+#include "parallel/parallel.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -78,15 +79,30 @@ VlasovPoisson1D1V::VlasovPoisson1D1V(bsplines::BSplineBasis basis_x,
 
 void VlasovPoisson1D1V::update_field()
 {
+    // rho(i) = sum_j f(j, i) wv(j), swept along the contiguous rows of f:
+    // each block of x columns walks every row once and accumulates each
+    // rho(i) over ascending j from 0.0, the order of a column walk, so the
+    // field is bitwise the same on every backend and block count.
+    constexpr std::size_t block = 128;
     const std::size_t nx_ = nx();
     const std::size_t nv_ = nv();
-    for (std::size_t i = 0; i < nx_; ++i) {
-        double acc = 0.0;
-        for (std::size_t j = 0; j < nv_; ++j) {
-            acc += m_f(j, i) * m_wv(j);
-        }
-        m_rho(i) = acc;
-    }
+    const auto f = m_f;
+    const auto wv = m_wv;
+    const auto rho = m_rho;
+    parallel_for("pspl::vlasov::rho", (nx_ + block - 1) / block,
+                 [=](std::size_t b) {
+                     const std::size_t i0 = b * block;
+                     const std::size_t i1 = std::min(i0 + block, nx_);
+                     for (std::size_t i = i0; i < i1; ++i) {
+                         rho(i) = 0.0;
+                     }
+                     for (std::size_t j = 0; j < nv_; ++j) {
+                         const double w = wv(j);
+                         for (std::size_t i = i0; i < i1; ++i) {
+                             rho(i) += f(j, i) * w;
+                         }
+                     }
+                 });
     if (m_spectral) {
         m_spectral->solve(m_rho, m_efield);
     } else {

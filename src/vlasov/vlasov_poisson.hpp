@@ -36,7 +36,7 @@ class VlasovPoisson1D1V
 {
 public:
     struct Config {
-        core::BuilderVersion version = core::BuilderVersion::FusedSpmv;
+        core::BuilderVersion version = core::default_builder_version;
         /// Use the FFT-based field solve instead of the quadrature one
         /// (uniform x grids only; GYSELA's Poisson solver is FFT-based).
         bool spectral_poisson = false;

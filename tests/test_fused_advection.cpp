@@ -110,7 +110,9 @@ TEST_F(FusedAdvection, ActiveByDefaultForDirectFusedDouble)
     ASSERT_TRUE(adv.plan().has_value());
     const AdvectionPlan& plan = *adv.plan();
     EXPECT_TRUE(plan.fusable());
-    EXPECT_GE(plan.pack_width(), 1);
+    // The default version stages 8-column packs in every translation unit
+    // (test_fused_advection_avx2 asserts the same under -mavx2).
+    EXPECT_EQ(plan.pack_width(), 8);
     EXPECT_GT(plan.tile_cols(), 0u);
     EXPECT_EQ(plan.tile_cols()
                       % static_cast<std::size_t>(plan.pack_width()),
@@ -365,6 +367,57 @@ TEST_F(FusedAdvection, TwoDFusedChainMatchesUnfusedBitwise)
             for (std::size_t i = 0; i < nx; ++i) {
                 ASSERT_EQ(ulp_distance(ff(j, i), fp(j, i)), 0u)
                         << "step " << s << " j=" << j << " i=" << i;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Lane independence: a NaN or an infinity in one row of f changes only that
+// row of the advected block -- the other 7 rows of its 8-row pack and every
+// other pack keep the bits of the clean step. 37 rows put row 19 inside a
+// full pack and row 34 in the 5-row tail pack.
+// ---------------------------------------------------------------------------
+
+TEST_F(FusedAdvection, NonFiniteRowLeavesOtherRowsBitwiseUnchanged)
+{
+    const double poisons[] = {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity()};
+    for (const int degree : {3, 5}) {
+        for (const Grid grid : {Grid::UniformPeriodic,
+                                Grid::NonUniformPeriodic}) {
+            const auto basis = make_basis(degree, grid, 64);
+            const BatchedAdvection1D adv(
+                    basis, uniform_velocities(37, -1.5, 2.0), 0.013);
+            ASSERT_TRUE(adv.fused_active());
+            ASSERT_EQ(adv.plan()->pack_width(), 8);
+            auto clean = initial_condition(adv);
+            const auto f0 = clone(clean);
+            adv.step(clean);
+            for (const std::size_t row : {std::size_t{19}, std::size_t{34}}) {
+                for (const double poison : poisons) {
+                    auto f = clone(f0);
+                    f(row, adv.nx() / 2) = poison;
+                    adv.step(f);
+                    bool reached = false;
+                    for (std::size_t j = 0; j < adv.nv(); ++j) {
+                        for (std::size_t i = 0; i < adv.nx(); ++i) {
+                            if (j == row) {
+                                reached = reached || !std::isfinite(f(j, i));
+                                continue;
+                            }
+                            ASSERT_EQ(std::memcmp(&f(j, i), &clean(j, i),
+                                                  sizeof(double)),
+                                      0)
+                                    << "deg" << degree << " poison="
+                                    << poison << " in row " << row << ": ("
+                                    << j << ", " << i << ") changed";
+                        }
+                    }
+                    EXPECT_TRUE(reached)
+                            << "the poison never reached row " << row;
+                }
             }
         }
     }

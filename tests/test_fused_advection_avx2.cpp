@@ -1,13 +1,15 @@
-// Fused advection when the calling translation unit packs wider than the
-// library. This TU is compiled with -mavx2 (4-wide double packs), while
-// AdvectionPlan resolves its tile width in the baseline-ISA library
-// (2-wide packs): PSPL_TILE=6 then gives tiles that are not a multiple of
-// the packs this TU stages. The fused step must size each arena strip for
-// the ceil(6 / 4) = 2 packs a tile stages -- AddressSanitizer reports a
-// heap-buffer-overflow in the strip gather otherwise -- and still match
-// the Algorithm 2 oracle to the bit. Each test runs its fused step before
+// Fused advection in a translation unit that targets a wider ISA than the
+// library. This TU is compiled with -mavx2, the library objects for the
+// baseline target. The SIMD column chain has one fixed width,
+// core::simd_chain_width = 8, so the plan the library resolves and the
+// strip loop this TU instantiates agree on 8-column packs: the default
+// plan reports pack_width() 8 here, as in a default-target TU. With
+// PSPL_TILE=6 the tile rounds up to one 8-column pack and the 29-row
+// batch ends in a 5-row tail; the fused step must still match the
+// Algorithm 2 oracle to the bit. Each step test runs its fused step before
 // anything else touches the grow-only workspace arena, so the arena is
-// sized by that step alone and an undersized strip runs off its end.
+// sized by that step alone and, under AddressSanitizer, an undersized
+// strip would be reported as a heap-buffer-overflow in the gather.
 #include "algorithm2_oracle.hpp"
 
 #include "advection/semi_lagrangian.hpp"
@@ -56,6 +58,20 @@ void expect_tail_tiles_match_algorithm2()
             ASSERT_EQ(f(j, i), ref(j, i)) << "j=" << j << " i=" << i;
         }
     }
+}
+
+TEST(FusedAdvectionAvx2, DefaultPlanPacksEightColumns)
+{
+    if (!__builtin_cpu_supports("avx2")) {
+        GTEST_SKIP() << "host CPU lacks AVX2";
+    }
+    ::setenv("PSPL_PRECISION", "double", 1);
+    const auto basis = BSplineBasis::uniform(3, 64, 0.0, 1.0);
+    const BatchedAdvection1D adv(
+            basis, advection::uniform_velocities(29, -1.5, 2.0), 0.013);
+    ASSERT_TRUE(adv.fused_active());
+    EXPECT_EQ(adv.plan()->pack_width(), 8);
+    EXPECT_EQ(adv.plan()->tile_cols() % 8, 0u);
 }
 
 TEST(FusedAdvectionAvx2, TailTilesMatchAlgorithm2Serial)

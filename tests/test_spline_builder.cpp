@@ -1,6 +1,9 @@
 // Tests for the batched spline builder: the three optimization versions
 // agree, the interpolation property holds, and accuracy converges at the
-// expected order, across degrees / grids / execution spaces.
+// expected order, across degrees / grids / execution spaces. The default
+// version is bitwise the FusedSpmv rung, and a non-finite right-hand side
+// stays in its own column.
+#include "core/hermite_builder.hpp"
 #include "core/spline_builder.hpp"
 #include "core/spline_evaluator.hpp"
 #include "bsplines/knots.hpp"
@@ -10,7 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <numbers>
+#include <string>
 #include <tuple>
 
 namespace {
@@ -301,6 +308,206 @@ TEST(SplineBuilder, VersionNames)
     EXPECT_STREQ(to_string(BuilderVersion::FusedSpmv), "gemv->spmv");
     EXPECT_STREQ(to_string(BuilderVersion::FusedSimd), "kernel-fusion+simd");
     EXPECT_STREQ(to_string(BuilderVersion::FusedSpmvSimd), "gemv->spmv+simd");
+}
+
+// ---------------------------------------------------------------------------
+// The default version: 8-column packs, bitwise the FusedSpmv rung
+// ---------------------------------------------------------------------------
+
+enum class Grid { Uniform, Stretched, Clamped };
+
+BSplineBasis grid_basis(int degree, Grid grid, std::size_t ncells)
+{
+    switch (grid) {
+    case Grid::Uniform:
+        return BSplineBasis::uniform(degree, ncells, 0.0, 1.0);
+    case Grid::Stretched:
+        return BSplineBasis::non_uniform(
+                degree, bsplines::stretched_breaks(ncells, 0.0, 1.0, 0.4));
+    case Grid::Clamped:
+    default:
+        return BSplineBasis::clamped_uniform(degree, ncells, 0.0, 1.0);
+    }
+}
+
+std::string grid_name(Grid grid)
+{
+    return grid == Grid::Uniform     ? "uniform"
+           : grid == Grid::Stretched ? "stretched"
+                                     : "clamped";
+}
+
+/// memcmp of two doubles: the identity promised here is bitwise, NaN
+/// payloads and the sign of zero included.
+bool same_bits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void expect_bitwise_equal(const View2D<double>& out, const View2D<double>& ref,
+                          const std::string& what)
+{
+    for (std::size_t i = 0; i < ref.extent(0); ++i) {
+        for (std::size_t j = 0; j < ref.extent(1); ++j) {
+            ASSERT_TRUE(same_bits(out(i, j), ref(i, j)))
+                    << what << " i=" << i << " j=" << j << " out=" << out(i, j)
+                    << " ref=" << ref(i, j);
+        }
+    }
+}
+
+/// PSPL_TILE for one scope (the Hermite builder reads its tile policy
+/// from the environment on every solve).
+class ScopedTileEnv
+{
+public:
+    explicit ScopedTileEnv(const char* value)
+    {
+        ::setenv("PSPL_TILE", value, 1);
+    }
+    ~ScopedTileEnv() { ::unsetenv("PSPL_TILE"); }
+    ScopedTileEnv(const ScopedTileEnv&) = delete;
+    ScopedTileEnv& operator=(const ScopedTileEnv&) = delete;
+};
+
+constexpr std::size_t identity_batches[] = {1, 7, 9, 33, 1003};
+
+class DefaultVersionParam
+    : public ::testing::TestWithParam<std::tuple<int, Grid>>
+{
+};
+
+TEST_P(DefaultVersionParam, MatchesSpmvRungBitwise)
+{
+    const auto [degree, grid] = GetParam();
+    const auto basis = grid_basis(degree, grid, 40);
+    SplineBuilder rung(basis, BuilderVersion::FusedSpmv);
+    rung.set_precision(core::Precision::Double);
+    rung.set_tile_policy(TilePolicy::off());
+    SplineBuilder builder(basis);
+    builder.set_precision(core::Precision::Double);
+    ASSERT_EQ(builder.version(), core::default_builder_version);
+    ASSERT_EQ(core::fused_chain(builder.version()).pack_width, 8);
+
+    const std::pair<const char*, TilePolicy> policies[] = {
+            {"auto", TilePolicy::automatic()},
+            {"off", TilePolicy::off()},
+            {"13", TilePolicy::explicit_width(13)}};
+    for (const auto& [name, policy] : policies) {
+        builder.set_tile_policy(policy);
+        for (const std::size_t batch : identity_batches) {
+            const auto values = sample_block(basis, batch);
+            auto ref = clone(values);
+            rung.build_inplace(ref);
+            auto out = clone(values);
+            builder.build_inplace(out);
+            expect_bitwise_equal(out, ref,
+                                 std::string("tile=") + name
+                                         + " batch=" + std::to_string(batch));
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+        DegreesGrids, DefaultVersionParam,
+        ::testing::Combine(::testing::Values(1, 2, 3, 4, 5),
+                           ::testing::Values(Grid::Uniform, Grid::Stretched,
+                                             Grid::Clamped)),
+        [](const auto& info) {
+            return "deg" + std::to_string(std::get<0>(info.param)) + "_"
+                   + grid_name(std::get<1>(info.param));
+        });
+
+class DefaultHermiteParam
+    : public ::testing::TestWithParam<std::tuple<int, bool>>
+{
+};
+
+TEST_P(DefaultHermiteParam, MatchesSpmvRungBitwise)
+{
+    const auto [degree, uniform] = GetParam();
+    const auto basis =
+            uniform ? BSplineBasis::clamped_uniform(degree, 40, 0.0, 1.0)
+                    : BSplineBasis::clamped_non_uniform(
+                              degree, bsplines::stretched_breaks(40, 0.0, 1.0,
+                                                                 0.4));
+    core::HermiteSplineBuilder rung(basis, BuilderVersion::FusedSpmv);
+    rung.set_precision(core::Precision::Double);
+    core::HermiteSplineBuilder builder(basis);
+    builder.set_precision(core::Precision::Double);
+    for (const char* tile : {"auto", "off", "13"}) {
+        for (const std::size_t batch : identity_batches) {
+            const auto values = sample_block(basis, batch);
+            auto ref = clone(values);
+            {
+                const ScopedTileEnv env("off");
+                rung.build_inplace(ref);
+            }
+            auto out = clone(values);
+            {
+                const ScopedTileEnv env(tile);
+                builder.build_inplace(out);
+            }
+            expect_bitwise_equal(out, ref,
+                                 std::string("tile=") + tile
+                                         + " batch=" + std::to_string(batch));
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(OddDegrees, DefaultHermiteParam,
+                         ::testing::Combine(::testing::Values(1, 3, 5),
+                                            ::testing::Bool()),
+                         [](const auto& info) {
+                             const int d = std::get<0>(info.param);
+                             const bool u = std::get<1>(info.param);
+                             return std::string("deg") + std::to_string(d)
+                                    + (u ? "_uniform" : "_stretched");
+                         });
+
+// A NaN or an infinity in one right-hand side must stay in its column: the
+// other lanes of its 8-column pack, and every other pack, keep the bits of
+// the clean build. Batch 37 puts column 19 inside a full pack (16..23) and
+// column 34 in the 5-lane tail pack (32..36).
+TEST(DefaultVersion, NonFiniteColumnLeavesOtherColumnsBitwiseUnchanged)
+{
+    constexpr std::size_t batch = 37;
+    const double poisons[] = {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity()};
+    for (const int degree : {3, 5}) {
+        for (const Grid grid : {Grid::Uniform, Grid::Stretched}) {
+            const auto basis = grid_basis(degree, grid, 48);
+            SplineBuilder builder(basis);
+            builder.set_precision(core::Precision::Double);
+            const auto values = sample_block(basis, batch);
+            auto clean = clone(values);
+            builder.build_inplace(clean);
+            for (const std::size_t col : {std::size_t{19}, std::size_t{34}}) {
+                for (const double poison : poisons) {
+                    auto b = clone(values);
+                    b(basis.nbasis() / 2, col) = poison;
+                    builder.build_inplace(b);
+                    bool reached = false;
+                    for (std::size_t i = 0; i < basis.nbasis(); ++i) {
+                        reached = reached || !std::isfinite(b(i, col));
+                        for (std::size_t j = 0; j < batch; ++j) {
+                            if (j == col) {
+                                continue;
+                            }
+                            ASSERT_TRUE(same_bits(b(i, j), clean(i, j)))
+                                    << "deg" << degree << " "
+                                    << grid_name(grid) << " poison=" << poison
+                                    << " in column " << col << ": (" << i
+                                    << ", " << j << ") changed";
+                        }
+                    }
+                    EXPECT_TRUE(reached)
+                            << "the poison never reached column " << col;
+                }
+            }
+        }
+    }
 }
 
 } // namespace

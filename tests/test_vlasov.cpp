@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <numeric>
 #include <vector>
 
 namespace {
@@ -196,6 +199,71 @@ TEST(VlasovPoisson, QuietStartStaysQuiet)
     for (std::size_t j = 0; j < sim.nv(); j += 7) {
         for (std::size_t i = 0; i < sim.nx(); i += 5) {
             EXPECT_NEAR(sim.f()(j, i), f0(j, i), 1e-11);
+        }
+    }
+}
+
+/// Column-walk oracle of VlasovPoisson1D1V's field update: the v weights
+/// are the periodic midpoint widths (gap to the next point in sorted
+/// order), each rho(i) walks column i of f over ascending j from 0.0, and
+/// the quadrature Poisson solve turns rho into E.
+View1D<double> column_walk_field(const View2D<double>& f,
+                                 const BSplineBasis& bx,
+                                 const BSplineBasis& bv)
+{
+    const auto pts = bv.interpolation_points();
+    const std::size_t nv = pts.size();
+    std::vector<std::size_t> order(nv);
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) { return pts[a] < pts[b]; });
+    std::vector<double> wv(nv);
+    for (std::size_t s = 0; s < nv; ++s) {
+        const double next = s + 1 < nv ? pts[order[s + 1]]
+                                       : pts[order[0]] + bv.length();
+        wv[order[s]] = next - pts[order[s]];
+    }
+    const std::size_t nx = bx.nbasis();
+    View1D<double> rho("oracle_rho", nx);
+    for (std::size_t i = 0; i < nx; ++i) {
+        double acc = 0.0;
+        for (std::size_t j = 0; j < nv; ++j) {
+            acc += f(j, i) * wv[j];
+        }
+        rho(i) = acc;
+    }
+    View1D<double> e("oracle_e", nx);
+    Poisson1DPeriodic(bx).solve(rho, e);
+    return e;
+}
+
+TEST(VlasovPoisson, RowSweepFieldMatchesColumnWalkBitwise)
+{
+    // 200 x points: one full 128-column block of the row sweep plus a
+    // 72-column tail block.
+    const double k = 0.5;
+    const double dt = 0.1;
+    const auto bx = BSplineBasis::uniform(3, 200, 0.0, 2.0 * pi / k);
+    const auto bv = BSplineBasis::uniform(3, 96, -6.0, 6.0);
+    VlasovPoisson1D1V sim(bx, bv, dt);
+    const double norm = 1.0 / std::sqrt(2.0 * pi);
+    sim.initialize([=](double x, double v) {
+        return norm * std::exp(-0.5 * v * v) * (1.0 + 0.05 * std::cos(k * x));
+    });
+    // A step solves the field after its leading x half step: replay that
+    // half step on a copy of f to feed the oracle.
+    const advection::BatchedAdvection1D half_x(bx, sim.points_v(), 0.5 * dt);
+    for (int s = 0; s <= 3; ++s) {
+        auto f = clone(sim.f());
+        if (s > 0) {
+            half_x.step(f);
+            sim.step();
+        }
+        const auto e = column_walk_field(f, bx, bv);
+        for (std::size_t i = 0; i < sim.nx(); ++i) {
+            ASSERT_EQ(std::memcmp(&sim.efield()(i), &e(i), sizeof(double)), 0)
+                    << "step " << s << ", i=" << i
+                    << ": efield=" << sim.efield()(i) << " oracle=" << e(i);
         }
     }
 }
