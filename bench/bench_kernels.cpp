@@ -6,6 +6,11 @@
 // directly with the paper's Gantt-chart numbers. bm_solve_strip times the
 // whole fused column chain at pack widths 1, 4 and 8; bm_evaluate_shifted
 // times the other half of the advection step, evaluation at the feet.
+// bm_strang_cross_pass times the cross-dimension (v) pass of the Vlasov
+// Strang step at (nx, nv) = (1024, 2048) two ways: through two physical
+// transposes, and in place on a transposed view of f.
+#include "advection/semi_lagrangian.hpp"
+#include "advection/transpose.hpp"
 #include "batched/batched.hpp"
 #include "bench/common.hpp"
 #include "core/spline_builder.hpp"
@@ -21,7 +26,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstring>
+#include <numbers>
 #include <vector>
 
 namespace {
@@ -300,6 +307,60 @@ void bm_evaluate_shifted(benchmark::State& state)
                     | benchmark::Counter::kInvert);
 }
 
+void bm_strang_cross_pass(benchmark::State& state)
+{
+    // The v full step of one Vlasov-Poisson Strang step on the
+    // landau_1d1v shape: f is (nv, nx) = (2048, 1024), x contiguous; the v
+    // advection is batched over the nx columns with the field as speed.
+    // in_place = 0 transposes f into an (nx, nv) scratch, steps it and
+    // transposes back; in_place = 1 steps the columns of f in place through
+    // transposed_view(f). baseline = 1 runs the Baseline builder version
+    // (Algorithm 2 inside the pass) instead of the default fused plan.
+    // Both forms give bitwise the same f. One iteration is one pass, on
+    // the default execution space.
+    const bool in_place = state.range(0) != 0;
+    const bool baseline = state.range(1) != 0;
+    const std::size_t nx = 1024;
+    const std::size_t nv = 2048;
+    const auto basis_v = bsplines::BSplineBasis::uniform(3, nv, -6.0, 6.0);
+    View1D<double> efield("efield", nx);
+    for (std::size_t i = 0; i < nx; ++i) {
+        efield(i) = 0.02
+                    * std::sin(2.0 * std::numbers::pi
+                               * static_cast<double>(i)
+                               / static_cast<double>(nx));
+    }
+    advection::BatchedAdvection1D::Config cfg;
+    if (baseline) {
+        cfg.version = core::BuilderVersion::Baseline;
+    }
+    const advection::BatchedAdvection1D adv_v(basis_v, efield, 0.1, cfg);
+    View2D<double> f(FirstTouch, "f", nv, nx);
+    for (std::size_t j = 0; j < nv; ++j) {
+        const double v = adv_v.points()(j);
+        for (std::size_t i = 0; i < nx; ++i) {
+            f(j, i) = std::exp(-0.5 * v * v)
+                      * (1.0 + 0.01 * bench::hash_noise(j, i));
+        }
+    }
+    View2D<double> ft;
+    if (!in_place) {
+        ft = View2D<double>(FirstTouch, "ft", nx, nv);
+    }
+    const auto fv = transposed_view(f);
+    for (auto _ : state) {
+        if (in_place) {
+            adv_v.step_to(fv, fv);
+        } else {
+            advection::transpose("bench::transpose_fwd", f, ft);
+            adv_v.step(ft);
+            advection::transpose("bench::transpose_bwd", ft, f);
+        }
+        benchmark::DoNotOptimize(f.data());
+        benchmark::ClobberMemory();
+    }
+}
+
 } // namespace
 
 BENCHMARK(bm_pttrs)->Unit(benchmark::kMillisecond);
@@ -328,5 +389,13 @@ BENCHMARK(bm_evaluate_shifted)
         ->Args({3, 1})
         ->Args({5, 0})
         ->Unit(benchmark::kMicrosecond);
+BENCHMARK(bm_strang_cross_pass)
+        ->ArgNames({"in_place", "baseline"})
+        ->Args({0, 0})
+        ->Args({1, 0})
+        ->Args({0, 1})
+        ->Args({1, 1})
+        ->Unit(benchmark::kMillisecond)
+        ->UseRealTime();
 
 BENCHMARK_MAIN();

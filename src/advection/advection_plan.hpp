@@ -104,15 +104,18 @@ public:
         advect_to<Exec>(f, f);
     }
 
-    /// General form: read values from `f` (nv rows of n contiguous
-    /// values), write the advected values to `out(j, i)`. `out` may be f
-    /// itself (in place: each tile owns its rows exclusively), or a
-    /// zero-copy transposed_view of an (npts, nv) block -- the 2-D Strang
-    /// chain passes the next dimension's scratch directly and the
-    /// inter-dimension transpose happens inside the tile (blocked
-    /// contiguous writes), with no intermediate full-size array.
-    template <class Exec = DefaultExecutionSpace, class OutView>
-    void advect_to(const View2D<double>& f, const OutView& out) const
+    /// General form: read values `f(j, r)`, write the advected values to
+    /// `out(j, i)`. Either view may be row-contiguous or a zero-copy
+    /// transposed_view (batch index contiguous); both are moved in
+    /// contiguous runs, so a cross-dimension Strang pass runs in place on
+    /// the columns of g: advect_to(transposed_view(g), transposed_view(g)).
+    ///
+    /// Aliasing contract: `out` is either `f` itself or disjoint from it,
+    /// never a partial overlap. In place is safe because every tile reads
+    /// all of its columns before it writes any of them, and no other tile
+    /// touches those columns.
+    template <class Exec = DefaultExecutionSpace, class InView, class OutView>
+    void advect_to(const InView& f, const OutView& out) const
     {
         PSPL_EXPECT(m_fusable,
                     "AdvectionPlan::advect: configuration is not fusable "
@@ -142,8 +145,8 @@ public:
     }
 
 private:
-    template <int W, bool UseSpmv, class Exec, class OutView>
-    void advect_impl(const View2D<double>& f, const OutView& out) const
+    template <int W, bool UseSpmv, class Exec, class InView, class OutView>
+    void advect_impl(const InView& f, const OutView& out) const
     {
         using Pack = simd<double, W>;
         const core::SchurDeviceData s = m_builder.solver().device_data();
@@ -185,8 +188,8 @@ private:
             const std::size_t cols = t.cols();
             const std::size_t packs = (cols + wide - 1) / wide;
             const std::size_t row_stride = packs * wide;
-            // 1. Stage the RHS strip: contiguous row reads of f, tail
-            //    lanes zero-filled like the staged SIMD driver's.
+            // 1. Stage the RHS strip: contiguous runs of f in either
+            //    layout, tail lanes zero-filled like solve_staged's.
             gather_strip_from_rows(f, t.begin, cols, n, row_stride, bufd);
             // 2. Fused Schur chain on the L2-resident strip -- bitwise
             //    the coefficients the unfused build would have produced.
@@ -209,8 +212,8 @@ private:
                     evaluator.evaluate_shifted(points, velocities(j) * dt,
                                                coeffs, obuf + c * npts);
                 }
-                // 4. Blocked transpose out of the tile: the 2-D chain's
-                //    inter-dimension permutation, fused into the pass.
+                // 4. Blocked transpose out of the tile: the
+                //    cross-dimension permutation, fused into the pass.
                 scatter_strip_transposed(obuf, t.begin, cols, npts, out);
             }
         });

@@ -69,13 +69,16 @@ public:
         return step_to<Exec>(f, f);
     }
 
-    /// General form: read values from f (Nv, Nx), write the advected
-    /// values to `out` -- f itself (in place), or a zero-copy
-    /// transposed_view of an (Nx, Nv) block so the 2-D Strang chain can
-    /// hand the next dimension its layout with no physical transpose.
-    template <class Exec = DefaultExecutionSpace, class OutView>
-    iterative::SolveStats step_to(const View2D<double>& f,
-                                  const OutView& out) const
+    /// General form: read values f(j, i) and write the advected values to
+    /// out(j, i), both (Nv, Nx). Either view may be x-contiguous or a
+    /// zero-copy transposed_view of an (Nx, Nv) block, so a Strang chain
+    /// runs its cross-dimension pass in place on the columns of the
+    /// distribution function: step_to(transposed_view(g),
+    /// transposed_view(g)). `out` is either `f` itself or disjoint from
+    /// it, never a partial overlap.
+    template <class Exec = DefaultExecutionSpace, class InView,
+              class OutView>
+    iterative::SolveStats step_to(const InView& f, const OutView& out) const
     {
         PSPL_EXPECT(f.extent(0) == nv() && f.extent(1) == nx(),
                     "step: f must be (Nv, Nx)");
@@ -94,7 +97,8 @@ public:
         }
 
         // Algorithm 2 (Iterative, Baseline or reduced precision).
-        // 1. Transpose so the batch (v) index is contiguous.
+        // 1. Transpose so the batch (v) index is contiguous. f is read in
+        //    full here, before anything is written to out.
         transpose<Exec>("pspl::advection::transpose_fwd", f, m_ft);
 
         // 2. Build spline coefficients in place, batched over v.
@@ -108,30 +112,44 @@ public:
         transpose<Exec>("pspl::advection::transpose_bwd", m_ft, m_eta);
 
         // 4. Interpolate at the feet of the backward characteristics.
+        //    Feet go through evaluate_shifted -- the same entry point the
+        //    fused AdvectionPlan uses -- so the foot arithmetic (shift
+        //    rounded once, then subtracted) is identical code on both
+        //    paths and cannot drift apart under FMA contraction. A
+        //    batch-contiguous destination gets each block of rows through
+        //    an arena strip, written out in contiguous runs.
+        const std::size_t nx_ = nx();
+        const bool rows_contiguous = out.stride(1) == 1;
+        const std::size_t strip_bytes =
+                rows_contiguous ? 0 : transpose_block * nx_ * sizeof(double);
+        WorkspaceArena& arena = host_workspace_arena();
+        arena.reserve(static_cast<std::size_t>(Exec::concurrency()),
+                      strip_bytes);
+        debug::ScratchGuard scratch(arena.data(), arena.size_bytes());
+        std::byte* const abase = arena.data();
+        const std::size_t astride = arena.slot_stride_bytes();
         const auto eta = m_eta;
         const auto points = m_points;
         const auto velocities = m_velocities;
         const double dt = m_dt;
         const auto evaluator = m_evaluator;
-        const std::size_t nx_ = nx();
-        // Feet go through evaluate_shifted -- the same entry point the
-        // fused AdvectionPlan uses -- so the foot arithmetic (shift
-        // rounded once, then subtracted) is identical code on both paths
-        // and cannot drift apart under FMA contraction.
-        const bool rows_contiguous = out.stride(1) == 1;
-        parallel_for("pspl::advection::interpolate",
-                     RangePolicy<Exec>(nv()), [=](std::size_t j) {
-                         const auto coeffs = subview(eta, j, ALL);
-                         const double shift = velocities(j) * dt;
-                         if (rows_contiguous) {
-                             evaluator.evaluate_shifted(points, shift, coeffs,
-                                                        &out(j, 0));
-                             return;
-                         }
-                         for (std::size_t i = 0; i < nx_; ++i) {
-                             out(j, i) = evaluator(points(i) - shift, coeffs);
-                         }
-                     });
+        for_each_batch_tile("pspl::advection::interpolate",
+                            RangePolicy<Exec>(nv()), transpose_block,
+                            [=](const BatchTile& t) {
+            double* const strip = reinterpret_cast<double*>(
+                    abase
+                    + astride * static_cast<std::size_t>(Exec::thread_rank()));
+            for (std::size_t j = t.begin; j < t.end; ++j) {
+                double* const row = rows_contiguous
+                                            ? &out(j, 0)
+                                            : strip + (j - t.begin) * nx_;
+                evaluator.evaluate_shifted(points, velocities(j) * dt,
+                                           subview(eta, j, ALL), row);
+            }
+            if (!rows_contiguous) {
+                scatter_strip_transposed(strip, t.begin, t.cols(), nx_, out);
+            }
+        });
         if (profiling::enabled()) {
             // Unfused interpolate traffic: the coefficient array streams
             // back in from DRAM and the advected values stream out --

@@ -25,7 +25,6 @@ BatchedAdvection2D::BatchedAdvection2D(bsplines::BSplineBasis basis_x,
     cfg1.version = config.version;
     m_adv_x.emplace(std::move(basis_x), std::move(vx_of_y), 0.5 * dt, cfg1);
     m_adv_y.emplace(std::move(basis_y), std::move(vy_of_x), dt, cfg1);
-    m_ft = View2D<double>("advection2d_ft", m_adv_x->nx(), m_adv_y->nx());
 }
 
 } // namespace pspl::advection

@@ -9,10 +9,11 @@
 #pragma once
 
 #include "advection/semi_lagrangian.hpp"
-#include "advection/transpose.hpp"
 #include "bsplines/basis.hpp"
+#include "parallel/subview.hpp"
 #include "parallel/view.hpp"
 
+#include <optional>
 #include <utility>
 
 namespace pspl::advection {
@@ -21,10 +22,7 @@ class BatchedAdvection2D
 {
 public:
     struct Config {
-        /// Forwarded to both 1-D passes. When the fused build->evaluate
-        /// pipeline is active on both, step() chains the passes through
-        /// zero-copy transposed views and the whole Strang step runs with
-        /// no physical transpose at all.
+        /// Forwarded to both 1-D passes.
         core::BuilderVersion version = core::default_builder_version;
     };
 
@@ -43,41 +41,30 @@ public:
     const View1D<double>& points_x() const { return m_adv_x->points(); }
     const View1D<double>& points_y() const { return m_adv_y->points(); }
 
-    /// Whether both 1-D passes run the fused build->evaluate pipeline
-    /// (and step() therefore needs no physical transpose).
+    /// Whether both 1-D passes run the fused build->evaluate pipeline.
     bool fused_active() const
     {
         return m_adv_x->fused_active() && m_adv_y->fused_active();
     }
 
     /// Advance f (shape (ny, nx), x contiguous) by one Strang-split step.
+    /// Every pass runs in place: the y pass reads and writes the columns
+    /// of f through a zero-copy transposed view, so no pass transposes f
+    /// and no full-size scratch exists.
     template <class Exec = DefaultExecutionSpace>
     void step(const View2D<double>& f) const
     {
         PSPL_EXPECT(f.extent(0) == ny() && f.extent(1) == nx(),
                     "step: f must be (Ny, Nx)");
-        if (fused_active()) {
-            // Transpose-free chain: each fused pass scatters its advected
-            // tile straight into the next dimension's layout through a
-            // zero-copy transposed view, so the inter-dimension
-            // permutations ride inside the tile pipeline and no full-size
-            // intermediate is ever streamed.
-            m_adv_x->template step_to<Exec>(f, transposed_view(m_ft));
-            m_adv_y->template step_to<Exec>(m_ft, transposed_view(f));
-            m_adv_x->template step<Exec>(f); // x half step, in place
-            return;
-        }
-        m_adv_x->template step<Exec>(f); // x half step, batch over y
-        transpose<Exec>("pspl::advection2d::transpose_fwd", f, m_ft);
-        m_adv_y->template step<Exec>(m_ft); // y full step, batch over x
-        transpose<Exec>("pspl::advection2d::transpose_bwd", m_ft, f);
-        m_adv_x->template step<Exec>(f); // x half step
+        const auto ft = transposed_view(f);
+        m_adv_x->template step<Exec>(f);         // x half step
+        m_adv_y->template step_to<Exec>(ft, ft); // y full step
+        m_adv_x->template step<Exec>(f);         // x half step
     }
 
 private:
     std::optional<BatchedAdvection1D> m_adv_x; ///< dt/2, batch over y
     std::optional<BatchedAdvection1D> m_adv_y; ///< dt, batch over x
-    mutable View2D<double> m_ft;               ///< (nx, ny) scratch
 };
 
 } // namespace pspl::advection

@@ -103,11 +103,13 @@ void transpose_01(std::string_view label, const InView& in,
     }
 }
 
-/// Stage one batch tile of row-contiguous values into the row-major strip
-/// layout the tile-resident solvers consume: strip element (r, c) lands at
-/// strip[r * row_stride + c] and holds in(col0 + c, r). The reads sweep
-/// whole contiguous rows of `in` (DRAM-friendly); the strided writes stay
-/// inside the L2-resident strip. Lanes [cols, row_stride) of every row are
+/// Stage one batch tile of values into the row-major strip layout the
+/// tile-resident solvers consume: strip element (r, c) lands at
+/// strip[r * row_stride + c] and holds in(col0 + c, r). Row-contiguous
+/// sources are read along whole rows of `in` (the strided writes stay
+/// inside the L2-resident strip); batch-contiguous sources (a
+/// transposed_view, in.stride(0) == 1) are read as one contiguous run of
+/// `cols` values per strip row. Lanes [cols, row_stride) of every row are
 /// zero-filled so tail packs match the staged SIMD driver's zero-filled
 /// dead lanes. Kernel-callable: runs inside one tile task of the fused
 /// advection dispatch.
@@ -117,9 +119,18 @@ gather_strip_from_rows(const InView& in, std::size_t col0, std::size_t cols,
                        std::size_t rows, std::size_t row_stride,
                        double* PSPL_RESTRICT strip)
 {
-    for (std::size_t c = 0; c < cols; ++c) {
+    if (in.stride(0) == 1) {
         for (std::size_t r = 0; r < rows; ++r) {
-            strip[r * row_stride + c] = in(col0 + c, r);
+            const double* PSPL_RESTRICT src = &in(col0, r);
+            for (std::size_t c = 0; c < cols; ++c) {
+                strip[r * row_stride + c] = src[c];
+            }
+        }
+    } else {
+        for (std::size_t c = 0; c < cols; ++c) {
+            for (std::size_t r = 0; r < rows; ++r) {
+                strip[r * row_stride + c] = in(col0 + c, r);
+            }
         }
     }
     for (std::size_t l = cols; l < row_stride; ++l) {

@@ -55,6 +55,13 @@ public:
     void set_precision(Precision p) { m_precision = p; }
     Precision precision() const { return m_precision; }
 
+    /// What the most recent reduced-precision build_inplace actually did
+    /// (zeroed stats when the builder runs at Precision::Double).
+    const RefinementStats& last_refinement_stats() const
+    {
+        return m_last_refine;
+    }
+
     /// Solve for spline coefficients in place. `b` has shape (n, batch)
     /// with the row layout documented above.
     template <class Exec = DefaultExecutionSpace, class T, class L>
@@ -65,10 +72,12 @@ public:
         profiling::ScopedRegion region("pspl_splines_solve_hermite");
         if (m_precision != Precision::Double) {
             const bool use_spmv = fused_chain(m_version).use_spmv;
-            solve_refined_batched<Exec>(*m_solver, b, m_precision, {},
-                                        TilePolicy::from_env(), use_spmv);
+            m_last_refine = solve_refined_batched<Exec>(
+                    *m_solver, b, m_precision, {}, TilePolicy::from_env(),
+                    use_spmv);
             return;
         }
+        m_last_refine = RefinementStats{};
         schur_solve_batched<Exec>(m_solver->device_data(), b, m_version);
     }
 
@@ -98,6 +107,7 @@ private:
     std::shared_ptr<const SchurSolver> m_solver;
     Precision m_precision = precision_from_env();
     std::vector<double> m_points; ///< break points (value rows)
+    mutable RefinementStats m_last_refine;
 };
 
 } // namespace pspl::core

@@ -2,6 +2,7 @@
 
 #include "parallel/macros.hpp"
 #include "parallel/parallel.hpp"
+#include "parallel/subview.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -70,8 +71,10 @@ VlasovPoisson1D1V::VlasovPoisson1D1V(bsplines::BSplineBasis basis_x,
     if (config.spectral_poisson) {
         m_spectral.emplace(basis_x);
     }
+    // f is allocated after both advection operators: their Schur set-up
+    // holds dense n x n matrices, the construction peak, and f resident
+    // next to them would add to it one-for-one.
     m_f = View2D<double>("vlasov_f", nv_, nx_);
-    m_ft = View2D<double>("vlasov_ft", nx_, nv_);
     m_rho = View1D<double>("vlasov_rho", nx_);
     m_wx = point_weights(basis_x);
     m_wv = point_weights(basis_v);
@@ -116,10 +119,11 @@ void VlasovPoisson1D1V::step()
     update_field();
     // v advection speed is the electric field: dv/dt = E(x) for electrons
     // with q/m = 1 normalization (sign folded into the initial condition
-    // convention; Landau/two-stream results are sign-symmetric).
-    advection::transpose("pspl::vlasov::transpose_fwd", m_f, m_ft);
-    m_adv_v->step(m_ft);
-    advection::transpose("pspl::vlasov::transpose_bwd", m_ft, m_f);
+    // convention; Landau/two-stream results are sign-symmetric). The v
+    // full step runs in place on the columns of f through a zero-copy
+    // transposed view: no transpose, no (nx, nv) scratch.
+    const auto fv = transposed_view(m_f);
+    m_adv_v->step_to(fv, fv);
     m_adv_x->step(m_f); // x half step
     m_time += m_dt;
 }
@@ -134,21 +138,45 @@ Diagnostics VlasovPoisson1D1V::run(std::size_t nsteps)
 
 Diagnostics VlasovPoisson1D1V::diagnostics() const
 {
-    Diagnostics d;
-    d.time = m_time;
+    constexpr std::size_t block = diag_block_rows;
     const std::size_t nx_ = nx();
     const std::size_t nv_ = nv();
-    for (std::size_t j = 0; j < nv_; ++j) {
-        const double v = m_adv_v->points()(j);
-        const double wv = m_wv(j);
-        for (std::size_t i = 0; i < nx_; ++i) {
-            const double w = wv * m_wx(i);
-            const double fv = m_f(j, i);
-            d.mass += fv * w;
-            d.momentum += v * fv * w;
-            d.kinetic_energy += 0.5 * v * v * fv * w;
-            d.l2_norm += fv * fv * w;
+    const std::size_t nblocks = (nv_ + block - 1) / block;
+    View2D<double> partial("vlasov_diag_partials", nblocks, 4);
+    const auto f = m_f;
+    const auto vpts = m_adv_v->points();
+    const auto wvs = m_wv;
+    const auto wx = m_wx;
+    parallel_for("pspl::vlasov::diagnostics", nblocks, [=](std::size_t b) {
+        double mass = 0.0;
+        double momentum = 0.0;
+        double kinetic = 0.0;
+        double l2 = 0.0;
+        const std::size_t j1 = std::min(b * block + block, nv_);
+        for (std::size_t j = b * block; j < j1; ++j) {
+            const double v = vpts(j);
+            const double wv = wvs(j);
+            for (std::size_t i = 0; i < nx_; ++i) {
+                const double w = wv * wx(i);
+                const double fv = f(j, i);
+                mass += fv * w;
+                momentum += v * fv * w;
+                kinetic += 0.5 * v * v * fv * w;
+                l2 += fv * fv * w;
+            }
         }
+        partial(b, 0) = mass;
+        partial(b, 1) = momentum;
+        partial(b, 2) = kinetic;
+        partial(b, 3) = l2;
+    });
+    Diagnostics d;
+    d.time = m_time;
+    for (std::size_t b = 0; b < nblocks; ++b) {
+        d.mass += partial(b, 0);
+        d.momentum += partial(b, 1);
+        d.kinetic_energy += partial(b, 2);
+        d.l2_norm += partial(b, 3);
     }
     d.l2_norm = std::sqrt(d.l2_norm);
     d.field_energy = m_poisson.field_energy(m_efield);

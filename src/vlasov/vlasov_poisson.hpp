@@ -12,7 +12,6 @@
 #pragma once
 
 #include "advection/semi_lagrangian.hpp"
-#include "advection/transpose.hpp"
 #include "bsplines/basis.hpp"
 #include "fft/spectral_poisson.hpp"
 #include "parallel/view.hpp"
@@ -83,7 +82,14 @@ public:
     /// Advance `nsteps`; returns the diagnostics after the last step.
     Diagnostics run(std::size_t nsteps);
 
-    /// Current integral diagnostics.
+    /// Rows of f per block of the diagnostics reduction. A constant, not a
+    /// knob: the blocks fix the summation order, so the diagnostics are
+    /// bitwise the same on every backend and thread count.
+    static constexpr std::size_t diag_block_rows = 32;
+
+    /// Current integral diagnostics: each block of diag_block_rows rows
+    /// of f is summed in (j, i) order, in parallel, and the block partials
+    /// are added in ascending block order.
     Diagnostics diagnostics() const;
 
 private:
@@ -96,7 +102,6 @@ private:
     Poisson1DPeriodic m_poisson;
     std::optional<fft::SpectralPoisson1D> m_spectral; ///< when configured
     View2D<double> m_f;      ///< (nv, nx)
-    View2D<double> m_ft;     ///< (nx, nv) scratch for the v advection
     View1D<double> m_efield; ///< shared with m_adv_v's velocity view
     View1D<double> m_rho;
     View1D<double> m_wv;     ///< v-quadrature weights (basis integrals)

@@ -1,11 +1,16 @@
 // Tests for the Strang-split 2-D semi-Lagrangian advection: rigid rotation,
 // shear flow, conservation and configuration handling.
 #include "advection/semi_lagrangian_2d.hpp"
+
+#include "scoped_env.hpp"
+
 #include "parallel/deep_copy.hpp"
+#include "parallel/profiling.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 namespace {
@@ -174,6 +179,24 @@ TEST(Advection2D, RejectsMismatchedVelocityExtents)
     View1D<double> vy("vy", 16);
     EXPECT_DEATH(BatchedAdvection2D(bx, by, wrong, vy, 0.1),
                  "vx_of_y");
+}
+
+TEST(Advection2D, HoldsNoFullSizeArray)
+{
+    // Every pass runs in place (the y pass on a transposed view of f), so
+    // the fused default holds no (nx, ny) scratch.
+    const test::ScopedEnv precision("PSPL_PRECISION", "double");
+    const std::size_t nx = 384;
+    const std::size_t ny = 320;
+    const auto bx = BSplineBasis::uniform(3, nx, 0.0, 1.0);
+    const auto by = BSplineBasis::uniform(3, ny, 0.0, 1.0);
+    View1D<double> vx("vx", ny);
+    View1D<double> vy("vy", nx);
+    const std::uint64_t before = profiling::memory_stats().live_bytes;
+    const BatchedAdvection2D adv(bx, by, vx, vy, 0.01);
+    const auto held = static_cast<double>(profiling::memory_stats().live_bytes
+                                          - before);
+    EXPECT_LT(held, static_cast<double>(nx * ny * sizeof(double)));
 }
 
 } // namespace

@@ -5,6 +5,7 @@
 // strip-evaluator entry points, and the zero-setup guarantee of the
 // cached plan.
 #include "algorithm2_oracle.hpp"
+#include "scoped_env.hpp"
 
 #include "advection/advection_plan.hpp"
 #include "advection/semi_lagrangian.hpp"
@@ -36,29 +37,9 @@ using advection::BatchedAdvection2D;
 using advection::uniform_velocities;
 using bsplines::BSplineBasis;
 using core::BuilderVersion;
+using test::ScopedEnv;
 
 constexpr double two_pi = 2.0 * std::numbers::pi;
-
-/// RAII setenv/unsetenv so env-sensitive tests cannot leak state (each
-/// ctest entry is its own process, so no cross-test restore is needed).
-class ScopedEnv
-{
-public:
-    ScopedEnv(const char* name, const char* value) : m_name(name)
-    {
-        if (value != nullptr) {
-            ::setenv(name, value, 1);
-        } else {
-            ::unsetenv(name);
-        }
-    }
-    ~ScopedEnv() { ::unsetenv(m_name); }
-    ScopedEnv(const ScopedEnv&) = delete;
-    ScopedEnv& operator=(const ScopedEnv&) = delete;
-
-private:
-    const char* m_name;
-};
 
 std::uint64_t ulp_distance(double a, double b)
 {
@@ -311,62 +292,137 @@ TYPED_TEST(FusedExecTyped, MatchesSerialUnfusedBitwise)
 }
 
 // ---------------------------------------------------------------------------
-// 2-D: the fused Strang chain (zero physical transposes, advected tiles
-// scattered through transposed views) must match the transpose-based
-// Algorithm 2 chain bitwise -- the permutations are pure data movement.
+// 2-D: the in-place Strang chain (the y pass reads and writes the columns of
+// f through a transposed view, no physical transpose) must match the
+// transpose-based Algorithm 2 chain bitwise -- the permutations are pure
+// data movement. Covered: an even and an odd shape on the default fused
+// operators, and a Baseline operator pair (Algorithm 2 inside each pass).
 // ---------------------------------------------------------------------------
 
 TEST_F(FusedAdvection, TwoDFusedChainMatchesUnfusedBitwise)
 {
-    const std::size_t nx = 48;
-    const std::size_t ny = 40;
-    const auto basis_x = BSplineBasis::uniform(3, nx, 0.0, 1.0);
-    const auto basis_y = BSplineBasis::uniform(3, ny, 0.0, 1.0);
-    // Rigid rotation about the domain center.
-    const double omega = two_pi;
-    View1D<double> vx("vx", ny);
-    View1D<double> vy("vy", nx);
-    {
-        BatchedAdvection2D probe(basis_x, basis_y, vx, vy, 0.0);
-        for (std::size_t j = 0; j < ny; ++j) {
-            vx(j) = -omega * (probe.points_y()(j) - 0.5);
+    const std::tuple<std::size_t, std::size_t, BuilderVersion> cases[] = {
+            {48, 40, core::default_builder_version},
+            {37, 29, core::default_builder_version},
+            {48, 40, BuilderVersion::Baseline}};
+    for (const auto& [nx, ny, version] : cases) {
+        SCOPED_TRACE("nx=" + std::to_string(nx) + " ny=" + std::to_string(ny)
+                     + " version=" + std::to_string(static_cast<int>(version)));
+        const auto basis_x = BSplineBasis::uniform(3, nx, 0.0, 1.0);
+        const auto basis_y = BSplineBasis::uniform(3, ny, 0.0, 1.0);
+        // Rigid rotation about the domain center.
+        const double omega = two_pi;
+        View1D<double> vx("vx", ny);
+        View1D<double> vy("vy", nx);
+        {
+            BatchedAdvection2D probe(basis_x, basis_y, vx, vy, 0.0);
+            for (std::size_t j = 0; j < ny; ++j) {
+                vx(j) = -omega * (probe.points_y()(j) - 0.5);
+            }
+            for (std::size_t i = 0; i < nx; ++i) {
+                vy(i) = omega * (probe.points_x()(i) - 0.5);
+            }
         }
-        for (std::size_t i = 0; i < nx; ++i) {
-            vy(i) = omega * (probe.points_x()(i) - 0.5);
-        }
-    }
-    const double dt = 0.004;
+        const double dt = 0.004;
 
-    BatchedAdvection2D fused(basis_x, basis_y, vx, vy, dt);
-    ASSERT_TRUE(fused.fused_active());
-    // Strang oracle: x half step, transpose, y full step, transpose back,
-    // x half step.
-    const test::Algorithm2Step plain_x(basis_x, BuilderVersion::FusedSpmv, vx,
-                                       0.5 * dt);
-    const test::Algorithm2Step plain_y(basis_y, BuilderVersion::FusedSpmv, vy,
-                                       dt);
-    View2D<double> ft("ft", nx, ny);
+        BatchedAdvection2D::Config cfg;
+        cfg.version = version;
+        BatchedAdvection2D fused(basis_x, basis_y, vx, vy, dt, cfg);
+        ASSERT_EQ(fused.fused_active(), version != BuilderVersion::Baseline);
+        // Strang oracle: x half step, transpose, y full step, transpose
+        // back, x half step -- on the scalar FusedSpmv rung, which the
+        // default SIMD chain matches bitwise.
+        const BuilderVersion oracle = version == BuilderVersion::Baseline
+                                              ? BuilderVersion::Baseline
+                                              : BuilderVersion::FusedSpmv;
+        const test::Algorithm2Step plain_x(basis_x, oracle, vx, 0.5 * dt);
+        const test::Algorithm2Step plain_y(basis_y, oracle, vy, dt);
+        View2D<double> ft("ft", nx, ny);
 
-    View2D<double> ff("ff", ny, nx);
-    for (std::size_t j = 0; j < ny; ++j) {
-        for (std::size_t i = 0; i < nx; ++i) {
-            const double x = fused.points_x()(i) - 0.5;
-            const double y = fused.points_y()(j) - 0.5;
-            ff(j, i) = std::exp(-40.0 * (x * x + y * y));
-        }
-    }
-    auto fp = clone(ff);
-    for (int s = 0; s < 2; ++s) {
-        fused.step(ff);
-        plain_x.step(fp);
-        advection::transpose("oracle_transpose_xy", fp, ft);
-        plain_y.step(ft);
-        advection::transpose("oracle_transpose_yx", ft, fp);
-        plain_x.step(fp);
+        View2D<double> ff("ff", ny, nx);
         for (std::size_t j = 0; j < ny; ++j) {
             for (std::size_t i = 0; i < nx; ++i) {
-                ASSERT_EQ(ulp_distance(ff(j, i), fp(j, i)), 0u)
-                        << "step " << s << " j=" << j << " i=" << i;
+                const double x = fused.points_x()(i) - 0.5;
+                const double y = fused.points_y()(j) - 0.5;
+                ff(j, i) = std::exp(-40.0 * (x * x + y * y));
+            }
+        }
+        auto fp = clone(ff);
+        for (int s = 0; s < 2; ++s) {
+            fused.step(ff);
+            plain_x.step(fp);
+            advection::transpose("oracle_transpose_xy", fp, ft);
+            plain_y.step(ft);
+            advection::transpose("oracle_transpose_yx", ft, fp);
+            plain_x.step(fp);
+            for (std::size_t j = 0; j < ny; ++j) {
+                for (std::size_t i = 0; i < nx; ++i) {
+                    ASSERT_EQ(ulp_distance(ff(j, i), fp(j, i)), 0u)
+                            << "step " << s << " j=" << j << " i=" << i;
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Column independence of the in-place cross-dimension pass: a NaN or an
+// infinity in one x column of f, advected along v through a transposed
+// view, changes only that column. 37 columns put column 19 inside a full
+// 8-column pack and column 34 in the 5-column tail pack; the Baseline
+// operator runs the Algorithm 2 interpolate with its strided scatter.
+// ---------------------------------------------------------------------------
+
+TEST_F(FusedAdvection, NonFiniteColumnLeavesOtherColumnsBitwiseUnchanged)
+{
+    const double poisons[] = {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity()};
+    const std::size_t nx = 37;
+    const std::size_t nv = 64;
+    const auto basis_v = BSplineBasis::uniform(3, nv, -6.0, 6.0);
+    for (const BuilderVersion version :
+         {core::default_builder_version, BuilderVersion::Baseline}) {
+        BatchedAdvection1D::Config cfg;
+        cfg.version = version;
+        const BatchedAdvection1D adv_v(
+                basis_v, uniform_velocities(nx, -0.8, 1.1), 0.1, cfg);
+        ASSERT_EQ(adv_v.fused_active(), version != BuilderVersion::Baseline);
+        View2D<double> f0("f0", nv, nx);
+        for (std::size_t j = 0; j < nv; ++j) {
+            const double v = adv_v.points()(j);
+            for (std::size_t i = 0; i < nx; ++i) {
+                const double x = 0.3 * static_cast<double>(i);
+                f0(j, i) = std::exp(-0.5 * v * v) * (1.0 + 0.1 * std::cos(x));
+            }
+        }
+        auto clean = clone(f0);
+        const auto clean_t = transposed_view(clean);
+        adv_v.step_to(clean_t, clean_t);
+        for (const std::size_t col : {std::size_t{19}, std::size_t{34}}) {
+            for (const double poison : poisons) {
+                auto f = clone(f0);
+                f(nv / 2, col) = poison;
+                const auto ft = transposed_view(f);
+                adv_v.step_to(ft, ft);
+                bool reached = false;
+                for (std::size_t j = 0; j < nv; ++j) {
+                    for (std::size_t i = 0; i < nx; ++i) {
+                        if (i == col) {
+                            reached = reached || !std::isfinite(f(j, i));
+                            continue;
+                        }
+                        ASSERT_EQ(std::memcmp(&f(j, i), &clean(j, i),
+                                              sizeof(double)),
+                                  0)
+                                << "version "
+                                << static_cast<int>(version) << " poison="
+                                << poison << " in column " << col << ": ("
+                                << j << ", " << i << ") changed";
+                    }
+                }
+                EXPECT_TRUE(reached)
+                        << "the poison never reached column " << col;
             }
         }
     }

@@ -280,6 +280,44 @@ INSTANTIATE_TEST_SUITE_P(OddDegrees, HermiteParam,
                                     + (u ? "_uniform" : "_nonuniform");
                          });
 
+TEST(HermiteBuilder, ReportsRefinementStatsOfTheLastBuild)
+{
+    for (const int degree : {3, 5}) {
+        const auto basis = BSplineBasis::clamped_uniform(degree, 40, 0.0, 1.0);
+        HermiteSplineBuilder builder(basis);
+        const std::size_t batch = 37;
+        View2D<double> b("b", basis.nbasis(), batch);
+        const auto fill = [&] {
+            for (std::size_t j = 0; j < batch; ++j) {
+                const double phase = 0.1 * static_cast<double>(j);
+                builder.fill_rhs(
+                        [&](double x, int m) {
+                            return m == 0 ? std::cos(x + phase)
+                                   : m == 1 ? -std::sin(x + phase)
+                                   : m == 2 ? -std::cos(x + phase)
+                                            : std::sin(x + phase);
+                        },
+                        subview(b, ALL, j));
+            }
+        };
+        builder.set_precision(core::Precision::Mixed);
+        fill();
+        builder.build_inplace(b);
+        const core::RefinementStats mixed = builder.last_refinement_stats();
+        EXPECT_GT(mixed.tiles, 0u) << "deg" << degree;
+        EXPECT_LE(mixed.refine_iters, 3) << "deg" << degree;
+
+        // A Double build resets the record: it ran no refinement.
+        builder.set_precision(core::Precision::Double);
+        fill();
+        builder.build_inplace(b);
+        const core::RefinementStats dbl = builder.last_refinement_stats();
+        EXPECT_EQ(dbl.refine_iters, 0) << "deg" << degree;
+        EXPECT_EQ(dbl.tiles, 0u) << "deg" << degree;
+        EXPECT_EQ(dbl.fallback_tiles, 0u) << "deg" << degree;
+    }
+}
+
 TEST(HermiteBuilder, RejectsPeriodicAndEvenDegree)
 {
     const auto periodic = BSplineBasis::uniform(3, 16, 0.0, 1.0);

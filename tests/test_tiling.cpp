@@ -4,6 +4,8 @@
 // against the untiled dispatch across degrees / grids / tile and pack
 // widths, thread-count independence of the results, workspace-arena reuse
 // semantics and -- under PSPL_CHECK -- the stale-slot-pointer death test.
+#include "scoped_env.hpp"
+
 #include "core/spline_builder.hpp"
 #include "parallel/arena.hpp"
 #include "parallel/parallel.hpp"
@@ -31,28 +33,11 @@ using pspl::View2D;
 using pspl::WorkspaceArena;
 using pspl::core::BuilderVersion;
 using pspl::core::SplineBuilder;
+using pspl::test::ScopedEnv;
 
 // ---------------------------------------------------------------------------
 // TilePolicy: cache model and environment override
 // ---------------------------------------------------------------------------
-
-/// RAII setenv/unsetenv so the from_env tests cannot leak state.
-class ScopedEnv
-{
-public:
-    ScopedEnv(const char* name, const char* value) : m_name(name)
-    {
-        if (value != nullptr) {
-            ::setenv(name, value, 1);
-        } else {
-            ::unsetenv(name);
-        }
-    }
-    ~ScopedEnv() { ::unsetenv(m_name); }
-
-private:
-    const char* m_name;
-};
 
 TEST(TilePolicy, EnvUnsetOrAutoSelectsCacheModel)
 {
