@@ -124,7 +124,7 @@ void bm_pbtrs(benchmark::State& state)
         }
         a(i, i) = 1.0;
     }
-    auto sym = hostlapack::pack_sym_band(a, kd);
+    auto sym = hostlapack::pack_sym_band(a, kd, a.extent(0));
     hostlapack::pbtrf(sym);
     const auto ab = sym.ab;
     auto b = rhs_block(n, batch);
@@ -153,7 +153,7 @@ void bm_gbtrs(benchmark::State& state)
         }
         a(i, i) = 1.0;
     }
-    auto band = hostlapack::pack_band(a, klu, klu);
+    auto band = hostlapack::pack_band(a, klu, klu, a.extent(0));
     View1D<int> ipiv("ipiv", n);
     hostlapack::gbtrf(band, ipiv);
     const auto ab = band.ab;

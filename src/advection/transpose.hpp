@@ -75,34 +75,6 @@ void transpose(std::string_view label, const InView& in, const OutView& out)
     }
 }
 
-/// Rank-3 permutation of the two leading dimensions, keeping the batch
-/// index contiguous: out(j, i, k) = in(i, j, k).
-template <class Exec = DefaultExecutionSpace, class InView, class OutView>
-void transpose_01(std::string_view label, const InView& in,
-                  const OutView& out)
-{
-    const std::size_t n0 = in.extent(0);
-    const std::size_t n1 = in.extent(1);
-    const std::size_t nb = in.extent(2);
-    PSPL_EXPECT(out.extent(0) == n1 && out.extent(1) == n0
-                        && out.extent(2) == nb,
-                "transpose_01: extent mismatch");
-    parallel_for(label, MDRangePolicy<2, Exec>({n0, n1}),
-                 [=](std::size_t i, std::size_t j) {
-                     for (std::size_t k = 0; k < nb; ++k) {
-                         out(j, i, k) = in(i, j, k);
-                     }
-                 });
-    if (profiling::enabled()) {
-        using T = std::remove_cv_t<typename InView::value_type>;
-        const double moved = 2.0 * static_cast<double>(n0)
-                             * static_cast<double>(n1)
-                             * static_cast<double>(nb)
-                             * static_cast<double>(sizeof(T));
-        profiling::add_counters(label, moved, 0.0);
-    }
-}
-
 /// Stage one batch tile of values into the row-major strip layout the
 /// tile-resident solvers consume: strip element (r, c) lands at
 /// strip[r * row_stride + c] and holds in(col0 + c, r). Row-contiguous

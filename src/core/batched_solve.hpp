@@ -302,6 +302,23 @@ PSPL_FORCEINLINE_FUNCTION void solve_column(const SData& s, const B0View& b0,
     }
 }
 
+/// Algorithm 1 on one unsplit right-hand side `b` (n rows, any rank-1
+/// view): the COO column chain on its split at n0, or the Q-solve alone
+/// when A has no Schur border (b1 would be empty and its view would point
+/// past the end of b). Callable inside kernels; the single-column entry
+/// point for callers outside the batched drivers.
+template <class SData, class BView>
+PSPL_INLINE_FUNCTION void solve_one(const SData& s, const BView& b)
+{
+    if (s.k == 0) {
+        solve_q_serial(s, b);
+        return;
+    }
+    using Rows = std::pair<std::size_t, std::size_t>;
+    solve_column<true>(s, subview(b, Rows(0, s.n0)),
+                       subview(b, Rows(s.n0, s.n)));
+}
+
 /// Run the column chain on pack columns [c_begin, c_end) of a row-major
 /// staged strip: `buf` holds s.n rows of `packs` packs each. This is the
 /// one strip loop behind the staged SIMD builder driver, the fused

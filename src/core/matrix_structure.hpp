@@ -38,8 +38,13 @@ struct MatrixStructure {
     SolverKind recommended = SolverKind::GETRS;
 };
 
+/// Magnitude at or below which the analysis treats an entry as a
+/// structural zero.
+inline constexpr double structure_tol = 1e-14;
+
 /// Analyze a dense periodic-banded matrix. Entries with |a_ij| <= tol are
 /// treated as structural zeros.
-MatrixStructure analyze_structure(const View2D<double>& a, double tol = 1e-14);
+MatrixStructure analyze_structure(const View2D<double>& a,
+                                  double tol = structure_tol);
 
 } // namespace pspl::core

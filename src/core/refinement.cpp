@@ -201,16 +201,6 @@ double residual_from_x(const sparse::Coo& a, const float* b, const double* x,
     return residual_from_x_impl(a, b, x, rf, n, pitch, cols, rwork);
 }
 
-double tile_max_abs(const double* p, std::size_t count)
-{
-    std::uint64_t m = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-        const std::uint64_t b = abs_bits(p[i]);
-        m = b > m ? b : m;
-    }
-    return bits_to_abs(m);
-}
-
 void tile_accumulate_widen(double* x, const float* d, std::size_t n,
                            std::size_t pitch, std::size_t cols)
 {

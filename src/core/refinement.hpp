@@ -112,9 +112,6 @@ double residual_from_x(const sparse::Coo& a, const float* b, const double* x,
                        float* rf, std::size_t n, std::size_t pitch,
                        std::size_t cols, double* rwork);
 
-/// max |p[i]| over count elements (0 for empty; NaN propagates).
-double tile_max_abs(const double* p, std::size_t count);
-
 /// x += widen(d) over a strip (n rows of `cols` at `pitch`).
 void tile_accumulate_widen(double* x, const float* d, std::size_t n,
                            std::size_t pitch, std::size_t cols);
@@ -287,14 +284,20 @@ solve_single_tile(const SchurFloatFactors& sf, const SrcView& src,
     }
     solve_strip<wf, UseSpmv>(sf, reinterpret_cast<simd<float, wf>*>(xf),
                              tc / wf, 0, tc / wf);
+    // The streaming scatter writes each row as one contiguous run; a
+    // batch-strided dst (LayoutLeft, a transposed view) takes the element
+    // loop instead.
+    const bool contiguous = dst.stride(1) == 1;
     for (std::size_t r = 0; r < n; ++r) {
         const float* PSPL_RESTRICT row = xf + r * tc;
         if constexpr (std::is_same_v<DstScalar, double>) {
-            scatter_row_widen(&dst(r, t.begin), row, cols);
-        } else {
-            for (std::size_t j = 0; j < cols; ++j) {
-                dst(r, t.begin + j) = static_cast<DstScalar>(row[j]);
+            if (contiguous) {
+                scatter_row_widen(&dst(r, t.begin), row, cols);
+                continue;
             }
+        }
+        for (std::size_t j = 0; j < cols; ++j) {
+            dst(r, t.begin + j) = static_cast<DstScalar>(row[j]);
         }
     }
     stream_fence();
@@ -539,7 +542,10 @@ PSPL_FORCEINLINE_FUNCTION void solve_mixed_tile(
     // Scatter epilogue: one pass over the tile rows. Writing the whole
     // dst row segment back to back turns the streaming stores into a
     // single sequential burst per row (the per-strip dispatch only picks
-    // source pointers; dst addresses stay consecutive across strips).
+    // source pointers; dst addresses stay consecutive across strips). A
+    // batch-strided dst (LayoutLeft, a transposed view) has no contiguous
+    // row segment and takes the element loop.
+    const bool contiguous = dst.stride(1) == 1;
     for (std::size_t r = 0; r < n; ++r) {
         if (r + 4 < n) {
             const float* fpf = xf + (r + 4) * pitch;
@@ -558,29 +564,35 @@ PSPL_FORCEINLINE_FUNCTION void solve_mixed_tile(
             const float* PSPL_RESTRICT frow = xf + r * pitch + c0;
             const float* PSPL_RESTRICT drow = rf + r * pitch + c0;
             if constexpr (std::is_same_v<DstScalar, double>) {
-                double* out = &dst(r, t.begin + c0);
-                switch (state) {
-                case 0: scatter_row_widen(out, frow, live); break;
-                case 1: scatter_row_sum_widen(out, frow, drow, live); break;
-                case 2: scatter_row_copy(out, xrow, live); break;
-                default: scatter_row_add_widen(out, xrow, drow, live); break;
-                }
-            } else {
-                for (std::size_t j = 0; j < live; ++j) {
-                    double v;
+                if (contiguous) {
+                    double* out = &dst(r, t.begin + c0);
                     switch (state) {
-                    case 0: v = static_cast<double>(frow[j]); break;
+                    case 0: scatter_row_widen(out, frow, live); break;
                     case 1:
-                        v = static_cast<double>(frow[j])
-                            + static_cast<double>(drow[j]);
+                        scatter_row_sum_widen(out, frow, drow, live);
                         break;
-                    case 2: v = xrow[j]; break;
+                    case 2: scatter_row_copy(out, xrow, live); break;
                     default:
-                        v = xrow[j] + static_cast<double>(drow[j]);
+                        scatter_row_add_widen(out, xrow, drow, live);
                         break;
                     }
-                    dst(r, t.begin + c0 + j) = static_cast<DstScalar>(v);
+                    continue;
                 }
+            }
+            for (std::size_t j = 0; j < live; ++j) {
+                double v;
+                switch (state) {
+                case 0: v = static_cast<double>(frow[j]); break;
+                case 1:
+                    v = static_cast<double>(frow[j])
+                        + static_cast<double>(drow[j]);
+                    break;
+                case 2: v = xrow[j]; break;
+                default:
+                    v = xrow[j] + static_cast<double>(drow[j]);
+                    break;
+                }
+                dst(r, t.begin + c0 + j) = static_cast<DstScalar>(v);
             }
         }
     }

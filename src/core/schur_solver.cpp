@@ -13,15 +13,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace pspl::core {
 
-SchurSolver::SchurSolver(const View2D<double>& a) : SchurSolver(a, Options())
-{
-}
-
 SchurSolver::SchurSolver(const View2D<double>& a, Options opts)
-    : m_structure(analyze_structure(a, opts.structure_tol))
+    : m_structure(analyze_structure(a))
 {
     // Host-side setup is a one-time cost, but it still shows up in traces:
     // each phase of Algorithm 1's setup opens its own span so the snapshot
@@ -36,17 +33,12 @@ SchurSolver::SchurSolver(const View2D<double>& a, Options opts)
     m_data.n0 = n0;
     m_data.k = k;
 
-    // --- Extract the blocks ------------------------------------------------
-    // Row-parallel: besides the (one-time) speedup, the parallel writes
-    // first-touch each factor block under the same static schedule the
-    // solve kernels later read it with, so on a first-touch NUMA system
+    // --- Extract the corner blocks -----------------------------------------
+    // Q stays in place: each factorization below reads A's leading n0 x n0
+    // block. Row-parallel: besides the (one-time) speedup, the parallel
+    // writes first-touch each corner block under the same static schedule
+    // the solve kernels later read it with, so on a first-touch NUMA system
     // the pages land near their consumers.
-    View2D<double> q("schur_q", n0, n0);
-    parallel_for("pspl::schur::extract_q", n0, [=](std::size_t i) {
-        for (std::size_t j = 0; j < n0; ++j) {
-            q(i, j) = a(i, j);
-        }
-    });
     View2D<double> gamma("schur_gamma", n0, std::max<std::size_t>(k, 1));
     View2D<double> lambda("schur_lambda", std::max<std::size_t>(k, 1), n0);
     View2D<double> delta("schur_delta", std::max<std::size_t>(k, 1),
@@ -81,10 +73,10 @@ SchurSolver::SchurSolver(const View2D<double>& a, Options opts)
             View1D<double> d("schur_pt_d", n0);
             View1D<double> e("schur_pt_e", n0 > 1 ? n0 - 1 : 1);
             for (std::size_t i = 0; i < n0; ++i) {
-                d(i) = q(i, i);
+                d(i) = a(i, i);
             }
             for (std::size_t i = 0; i + 1 < n0; ++i) {
-                e(i) = q(i + 1, i);
+                e(i) = a(i + 1, i);
             }
             if (hostlapack::pttrf(d, e) == 0) {
                 m_data.pt_d = d;
@@ -100,11 +92,11 @@ SchurSolver::SchurSolver(const View2D<double>& a, Options opts)
             View1D<double> du2("schur_gt_du2", n0 > 2 ? n0 - 2 : 1);
             View1D<int> ipiv("schur_gt_ipiv", n0);
             for (std::size_t i = 0; i < n0; ++i) {
-                d(i) = q(i, i);
+                d(i) = a(i, i);
             }
             for (std::size_t i = 0; i + 1 < n0; ++i) {
-                dl(i) = q(i + 1, i);
-                du(i) = q(i, i + 1);
+                dl(i) = a(i + 1, i);
+                du(i) = a(i, i + 1);
             }
             if (hostlapack::gttrf(dl, d, du, du2, ipiv) == 0) {
                 m_data.gt_dl = dl;
@@ -118,7 +110,7 @@ SchurSolver::SchurSolver(const View2D<double>& a, Options opts)
         }
         if (kind == SolverKind::PBTRS) {
             const std::size_t kd = std::max(kl, ku);
-            auto sb = hostlapack::pack_sym_band(q, kd);
+            auto sb = hostlapack::pack_sym_band(a, kd, n0);
             if (hostlapack::pbtrf(sb) == 0) {
                 m_data.pb_ab = sb.ab;
             } else {
@@ -126,7 +118,7 @@ SchurSolver::SchurSolver(const View2D<double>& a, Options opts)
             }
         }
         if (kind == SolverKind::GBTRS) {
-            auto bm = hostlapack::pack_band(q, kl, ku);
+            auto bm = hostlapack::pack_band(a, kl, ku, n0);
             View1D<int> ipiv("schur_gb_ipiv", n0);
             if (hostlapack::gbtrf(bm, ipiv) == 0) {
                 m_data.gb_ab = bm.ab;
@@ -138,7 +130,8 @@ SchurSolver::SchurSolver(const View2D<double>& a, Options opts)
             }
         }
         if (kind == SolverKind::GETRS) {
-            View2D<double> lu = clone(q);
+            const std::pair<std::size_t, std::size_t> lead(0, n0);
+            View2D<double> lu = clone(subview(a, lead, lead));
             View1D<int> ipiv("schur_ge_ipiv", n0);
             const int info = hostlapack::getrf(lu, ipiv);
             PSPL_EXPECT(info == 0, "SchurSolver: Q is singular");

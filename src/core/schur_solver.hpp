@@ -141,21 +141,24 @@ PSPL_INLINE_FUNCTION void solve_q_serial(const SData& s, const BView& b)
     }
 }
 
+/// Set-up options of SchurSolver (SchurSolver::Options). Declared at
+/// namespace scope: a nested class's default member initializers are not
+/// usable in a defaulted argument of the enclosing class's constructor.
+struct SchurOptions {
+    /// Relative threshold (vs max|A|) below which corner entries are
+    /// dropped when building the COO blocks.
+    double sparsify_threshold = 1e-15;
+};
+
 /// Host-side factory: analyzes A, factorizes the blocks, and exposes the
-/// device data. A is not modified.
+/// device data. A is not modified, and Q is read in place from its leading
+/// n0 x n0 block: only the factors are allocated.
 class SchurSolver
 {
 public:
-    struct Options {
-        /// Relative threshold (vs max|A|) below which corner entries are
-        /// dropped when building the COO blocks.
-        double sparsify_threshold = 1e-15;
-        /// Structural-zero tolerance for the analysis.
-        double structure_tol = 1e-14;
-    };
+    using Options = SchurOptions;
 
-    explicit SchurSolver(const View2D<double>& a);
-    SchurSolver(const View2D<double>& a, Options opts);
+    explicit SchurSolver(const View2D<double>& a, Options opts = {});
 
     const MatrixStructure& structure() const { return m_structure; }
     const SchurDeviceData& device_data() const { return m_data; }
@@ -169,46 +172,6 @@ public:
     /// operator the refinement loop applies for r = b - A x residuals.
     const sparse::Coo& matrix_coo() const { return m_a_coo; }
 
-    /// Solve A x = b in place for a single host-side RHS (reference path,
-    /// used by tests and the host beta computation).
-    template <class BView>
-    void solve_host(const BView& b) const
-    {
-        solve_one(m_data, b);
-    }
-
-    /// The full Algorithm 1 on one RHS given split views b0 (n0) / b1 (k).
-    /// Usable inside kernels; this is what the fused builders call.
-    template <class B0View, class B1View>
-    static PSPL_INLINE_FUNCTION void
-    solve_split(const SchurDeviceData& s, const B0View& b0, const B1View& b1)
-    {
-        solve_q_serial(s, b0);
-        if (s.k > 0) {
-            // b1 -= lambda * x0'
-            for (std::size_t i = 0; i < s.k; ++i) {
-                double acc = b1(i);
-                for (std::size_t j = 0; j < s.n0; ++j) {
-                    acc -= s.lambda_dense(i, j) * b0(j);
-                }
-                b1(i) = acc;
-            }
-            batched::SerialGetrs<>::invoke(s.delta_lu, s.delta_ipiv, b1);
-            // x0 = x0' - beta * x1
-            for (std::size_t i = 0; i < s.n0; ++i) {
-                double acc = b0(i);
-                for (std::size_t j = 0; j < s.k; ++j) {
-                    acc -= s.beta_dense(i, j) * b1(j);
-                }
-                b0(i) = acc;
-            }
-        }
-    }
-
-    /// Convenience: Algorithm 1 on one unsplit RHS view of size n.
-    template <class BView>
-    static void solve_one(const SchurDeviceData& s, const BView& b);
-
 private:
     MatrixStructure m_structure;
     SchurDeviceData m_data;
@@ -217,41 +180,5 @@ private:
 
     void build_float_factors();
 };
-
-namespace detail {
-
-/// Rank-1 window into another rank-1 view: b[offset + i].
-template <class BView>
-struct Window {
-    using value_type = double;
-    static constexpr std::size_t rank = 1; ///< models pspl::ViewLike
-
-    const BView& b;
-    std::size_t offset;
-    std::size_t len;
-    PSPL_FORCEINLINE_FUNCTION double& operator()(std::size_t i) const
-    {
-        return b(offset + i);
-    }
-    PSPL_FORCEINLINE_FUNCTION std::size_t extent(std::size_t) const
-    {
-        return len;
-    }
-    PSPL_FORCEINLINE_FUNCTION double* data() const { return &b(offset); }
-    PSPL_FORCEINLINE_FUNCTION std::size_t stride(std::size_t) const
-    {
-        return b.stride(0);
-    }
-};
-
-} // namespace detail
-
-template <class BView>
-void SchurSolver::solve_one(const SchurDeviceData& s, const BView& b)
-{
-    const detail::Window<BView> b0{b, 0, s.n0};
-    const detail::Window<BView> b1{b, s.n0, s.k};
-    solve_split(s, b0, b1);
-}
 
 } // namespace pspl::core

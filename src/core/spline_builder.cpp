@@ -22,10 +22,19 @@ const char* to_string(BuilderVersion v)
 SplineBuilder::SplineBuilder(bsplines::BSplineBasis basis,
                              BuilderVersion version,
                              SchurSolver::Options options)
-    : m_basis(std::move(basis)), m_version(version)
+    : SplineBuilder(basis, bsplines::collocation_matrix(basis), version,
+                    options)
 {
-    const auto a = bsplines::collocation_matrix(m_basis);
-    m_solver = std::make_shared<const SchurSolver>(a, options);
+}
+
+SplineBuilder::SplineBuilder(bsplines::BSplineBasis basis,
+                             const View2D<double>& matrix,
+                             BuilderVersion version,
+                             SchurSolver::Options options)
+    : m_basis(std::move(basis))
+    , m_version(version)
+    , m_solver(std::make_shared<const SchurSolver>(matrix, options))
+{
 }
 
 } // namespace pspl::core

@@ -42,9 +42,17 @@ class SplineBuilder
 public:
     SplineBuilder() = default;
 
+    /// Interpolation at the basis' Greville points: assembles the
+    /// collocation matrix and forwards to the matrix constructor.
     explicit SplineBuilder(bsplines::BSplineBasis basis,
                            BuilderVersion version = default_builder_version,
-                           SchurSolver::Options options = SchurSolver::Options());
+                           SchurSolver::Options options = {});
+
+    /// Any other interpolation problem on `basis`: `matrix` is its
+    /// assembled (nbasis x nbasis) system, factored once here.
+    SplineBuilder(bsplines::BSplineBasis basis, const View2D<double>& matrix,
+                  BuilderVersion version = default_builder_version,
+                  SchurSolver::Options options = {});
 
     const bsplines::BSplineBasis& basis() const { return m_basis; }
     BuilderVersion version() const { return m_version; }
@@ -64,16 +72,6 @@ public:
     /// reduced-precision driver in core/refinement.hpp.
     void set_precision(Precision p) { m_precision = p; }
     Precision precision() const { return m_precision; }
-
-    /// Tuning knobs of the Mixed refinement loop (residual target, budget).
-    void set_refinement_options(const RefinementOptions& opt)
-    {
-        m_refine_opts = opt;
-    }
-    const RefinementOptions& refinement_options() const
-    {
-        return m_refine_opts;
-    }
 
     /// What the most recent reduced-precision build_inplace actually did
     /// (zeroed stats when the builder runs at Precision::Double).
@@ -97,8 +95,7 @@ public:
             // corner-correction flavour; the chain is always fused+SIMD.
             const bool use_spmv = fused_chain(m_version).use_spmv;
             m_last_refine = solve_refined_batched<Exec>(
-                    *m_solver, b, m_precision, m_refine_opts, tile_policy(),
-                    use_spmv);
+                    *m_solver, b, m_precision, {}, tile_policy(), use_spmv);
             return;
         }
         m_last_refine = RefinementStats{};
@@ -127,7 +124,6 @@ private:
     std::shared_ptr<const SchurSolver> m_solver;
     std::optional<TilePolicy> m_tile;
     Precision m_precision = precision_from_env();
-    RefinementOptions m_refine_opts;
     mutable RefinementStats m_last_refine;
 };
 

@@ -11,6 +11,7 @@
 
 #include "advection/transpose.hpp"
 #include "core/spline_builder.hpp"
+#include "parallel/subview.hpp"
 #include "parallel/view.hpp"
 
 #include <utility>
@@ -56,7 +57,7 @@ public:
         // Solve along y, batched over x. The transpose scratch is sized
         // lazily: consumers on the fused advection path never run a full
         // 2-D plane build, so the plane-sized buffer is only paid for by
-        // callers that actually use it (mirrors m_scratch3).
+        // callers that actually use it.
         if (!m_scratch.is_allocated() || m_scratch.extent(0) != ny
             || m_scratch.extent(1) != nx) {
             m_scratch = View2D<double>("spline2d_scratch", ny, nx);
@@ -71,31 +72,26 @@ public:
     /// Batched 2-D build, GYSELA style: values has shape (nx, ny, batch)
     /// and every batch entry holds one plane sampled at the tensor-product
     /// interpolation points. Both 1-D passes stay batched over the
-    /// contiguous trailing index.
+    /// contiguous trailing index, in place: the x pass solves ny slices
+    /// (nx, batch), the y pass nx slices (ny, batch).
     template <class Exec = DefaultExecutionSpace>
     void build_inplace(const View3D<double>& values) const
     {
         const std::size_t nx = basis_x().nbasis();
         const std::size_t ny = basis_y().nbasis();
-        const std::size_t batch = values.extent(2);
         PSPL_EXPECT(values.extent(0) == nx && values.extent(1) == ny,
                     "SplineBuilder2D: values must be (nx, ny, batch)");
-        if (!m_scratch3.is_allocated() || m_scratch3.extent(2) != batch) {
-            m_scratch3 = View3D<double>("spline2d_scratch3", ny, nx, batch);
-        }
         m_builder_x.template build_inplace<Exec>(values);
-        advection::transpose_01<Exec>("pspl::core::spline2d_transpose3_fwd",
-                                      values, m_scratch3);
-        m_builder_y.template build_inplace<Exec>(m_scratch3);
-        advection::transpose_01<Exec>("pspl::core::spline2d_transpose3_bwd",
-                                      m_scratch3, values);
+        for (std::size_t i = 0; i < nx; ++i) {
+            m_builder_y.template build_inplace<Exec>(
+                    subview(values, i, ALL, ALL));
+        }
     }
 
 private:
     SplineBuilder m_builder_x;
     SplineBuilder m_builder_y;
-    mutable View2D<double> m_scratch;  ///< (ny, nx), lazily sized
-    mutable View3D<double> m_scratch3; ///< (ny, nx, batch), lazily sized
+    mutable View2D<double> m_scratch; ///< (ny, nx), lazily sized
 };
 
 } // namespace pspl::core

@@ -6,10 +6,11 @@
 
 namespace pspl::hostlapack {
 
-BandMatrix pack_band(const View2D<double>& a, std::size_t kl, std::size_t ku)
+BandMatrix pack_band(const View2D<double>& a, std::size_t kl, std::size_t ku,
+                     std::size_t n)
 {
-    const std::size_t n = a.extent(0);
-    PSPL_EXPECT(a.extent(1) == n, "pack_band: matrix must be square");
+    PSPL_EXPECT(n <= a.extent(0) && n <= a.extent(1),
+                "pack_band: block exceeds the matrix");
     BandMatrix m(n, kl, ku);
     for (std::size_t j = 0; j < n; ++j) {
         const std::size_t ilo = j > ku ? j - ku : 0;

@@ -40,8 +40,10 @@ struct BandMatrix {
     }
 };
 
-/// Pack the band of a dense matrix into LAPACK band storage.
-BandMatrix pack_band(const View2D<double>& a, std::size_t kl, std::size_t ku);
+/// Pack the band of the leading n x n block of a dense matrix into LAPACK
+/// band storage.
+BandMatrix pack_band(const View2D<double>& a, std::size_t kl, std::size_t ku,
+                     std::size_t n);
 
 /// In-place banded LU with partial pivoting. Returns 0, or k+1 if the k-th
 /// pivot is exactly zero.

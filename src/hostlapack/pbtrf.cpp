@@ -6,10 +6,11 @@
 
 namespace pspl::hostlapack {
 
-SymBandMatrix pack_sym_band(const View2D<double>& a, std::size_t kd)
+SymBandMatrix pack_sym_band(const View2D<double>& a, std::size_t kd,
+                            std::size_t n)
 {
-    const std::size_t n = a.extent(0);
-    PSPL_EXPECT(a.extent(1) == n, "pack_sym_band: matrix must be square");
+    PSPL_EXPECT(n <= a.extent(0) && n <= a.extent(1),
+                "pack_sym_band: block exceeds the matrix");
     SymBandMatrix m(n, kd);
     for (std::size_t j = 0; j < n; ++j) {
         const std::size_t ihi = std::min(n - 1, j + kd);

@@ -28,8 +28,9 @@ struct SymBandMatrix {
     double at(std::size_t i, std::size_t j) const { return ab(i - j, j); }
 };
 
-/// Pack the lower band of a dense SPD matrix.
-SymBandMatrix pack_sym_band(const View2D<double>& a, std::size_t kd);
+/// Pack the lower band of the leading n x n block of a dense SPD matrix.
+SymBandMatrix pack_sym_band(const View2D<double>& a, std::size_t kd,
+                            std::size_t n);
 
 /// In-place Cholesky A = L*L^T. Returns 0, or k+1 if the leading minor of
 /// order k+1 is not positive definite.

@@ -181,7 +181,7 @@ TEST(SerialGbtrs, MatchesHostReferenceOverBatch)
         }
         a(i, i) += 3.0;
     }
-    auto band = hl::pack_band(a, kl, ku);
+    auto band = hl::pack_band(a, kl, ku, a.extent(0));
     View1D<int> ipiv("ipiv", n);
     ASSERT_EQ(hl::gbtrf(band, ipiv), 0);
     const auto ab = band.ab;
@@ -216,7 +216,7 @@ TEST(SerialPbtrs, MatchesHostReferenceOverBatch)
         }
         a(i, i) = 6.0;
     }
-    auto sym = hl::pack_sym_band(a, kd);
+    auto sym = hl::pack_sym_band(a, kd, a.extent(0));
     ASSERT_EQ(hl::pbtrf(sym), 0);
     const auto ab = sym.ab;
 
@@ -514,7 +514,7 @@ TEST(SerialTbsv, ComposesIntoPbtrs)
         }
         a(i, i) = 8.0;
     }
-    auto sym = hl::pack_sym_band(a, kd);
+    auto sym = hl::pack_sym_band(a, kd, a.extent(0));
     ASSERT_EQ(hl::pbtrf(sym), 0);
     const auto ab = sym.ab;
 

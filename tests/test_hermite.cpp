@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 namespace {
 
@@ -315,6 +316,48 @@ TEST(HermiteBuilder, ReportsRefinementStatsOfTheLastBuild)
         EXPECT_EQ(dbl.refine_iters, 0) << "deg" << degree;
         EXPECT_EQ(dbl.tiles, 0u) << "deg" << degree;
         EXPECT_EQ(dbl.fallback_tiles, 0u) << "deg" << degree;
+    }
+}
+
+TEST(HermiteBuilder, Rank3BuildMatchesSliceBySliceBitwise)
+{
+    // A (n, b1, b2) block is b1 rank-2 solves of (n, b2) slices: each
+    // slice must come out bitwise as if built on its own.
+    for (const int degree : {3, 5}) {
+        const auto basis = BSplineBasis::clamped_uniform(degree, 24, 0.0, 2.0);
+        HermiteSplineBuilder builder(basis);
+        const std::size_t n = basis.nbasis();
+        const std::size_t b1 = 3;
+        const std::size_t b2 = 11;
+        View3D<double> block("block", n, b1, b2);
+        for (std::size_t i = 0; i < b1; ++i) {
+            for (std::size_t j = 0; j < b2; ++j) {
+                const double phase = 0.1 * static_cast<double>(i * b2 + j);
+                builder.fill_rhs(
+                        [&](double x, int m) {
+                            return m == 0 ? std::cos(x + phase)
+                                   : m == 1 ? -std::sin(x + phase)
+                                   : m == 2 ? -std::cos(x + phase)
+                                            : std::sin(x + phase);
+                        },
+                        subview(block, ALL, i, j));
+            }
+        }
+        std::vector<View2D<double>> slices;
+        for (std::size_t i = 0; i < b1; ++i) {
+            slices.push_back(clone(subview(block, ALL, i, ALL)));
+            builder.build_inplace(slices.back());
+        }
+        builder.build_inplace(block);
+        for (std::size_t i = 0; i < b1; ++i) {
+            for (std::size_t r = 0; r < n; ++r) {
+                for (std::size_t j = 0; j < b2; ++j) {
+                    ASSERT_EQ(block(r, i, j), slices[i](r, j))
+                            << "deg" << degree << " slice " << i << " (" << r
+                            << ", " << j << ")";
+                }
+            }
+        }
     }
 }
 

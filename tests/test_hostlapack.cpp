@@ -220,7 +220,7 @@ TEST_P(GbtrfParam, MatchesDenseSolve)
     auto b = random_vector(n, 5);
 
     // Banded path.
-    auto band = hl::pack_band(a, kl, ku);
+    auto band = hl::pack_band(a, kl, ku, a.extent(0));
     View1D<int> ipiv("ipiv", n);
     ASSERT_EQ(hl::gbtrf(band, ipiv), 0);
     auto x = clone(b);
@@ -246,7 +246,7 @@ TEST(Gbtrf, PivotingKicksIn)
         a(i, i) -= 4.0; // remove dominance
     }
     auto b = random_vector(n, 23);
-    auto band = hl::pack_band(a, 2, 2);
+    auto band = hl::pack_band(a, 2, 2, a.extent(0));
     View1D<int> ipiv("ipiv", n);
     ASSERT_EQ(hl::gbtrf(band, ipiv), 0);
     auto x = clone(b);
@@ -263,7 +263,7 @@ TEST(Gbtrf, PivotingKicksIn)
 TEST(Gbtrf, DetectsSingular)
 {
     View2D<double> a("a", 4, 4); // all zero
-    auto band = hl::pack_band(a, 1, 1);
+    auto band = hl::pack_band(a, 1, 1, a.extent(0));
     View1D<int> ipiv("ipiv", 4);
     EXPECT_GT(hl::gbtrf(band, ipiv), 0);
 }
@@ -271,7 +271,7 @@ TEST(Gbtrf, DetectsSingular)
 TEST(BandMatrix, PackRoundTrip)
 {
     auto a = random_banded(9, 2, 1, 31);
-    auto band = hl::pack_band(a, 2, 1);
+    auto band = hl::pack_band(a, 2, 1, a.extent(0));
     for (std::size_t i = 0; i < 9; ++i) {
         for (std::size_t j = 0; j < 9; ++j) {
             if (band.in_band(i, j)) {
@@ -314,7 +314,7 @@ TEST_P(PbtrfParam, MatchesDenseSolve)
     const auto [n, kd] = GetParam();
     auto a = spd_banded(n, kd, 17 + static_cast<unsigned>(n));
     auto b = random_vector(n, 29);
-    auto sym = hl::pack_sym_band(a, kd);
+    auto sym = hl::pack_sym_band(a, kd, a.extent(0));
     ASSERT_EQ(hl::pbtrf(sym), 0);
     auto x = clone(b);
     hl::pbtrs(sym, x);
@@ -335,7 +335,7 @@ TEST(Pbtrf, RejectsIndefiniteMatrix)
     a(0, 0) = 1.0;
     a(1, 1) = -1.0; // indefinite
     a(2, 2) = 1.0;
-    auto sym = hl::pack_sym_band(a, 1);
+    auto sym = hl::pack_sym_band(a, 1, a.extent(0));
     EXPECT_EQ(hl::pbtrf(sym), 2);
 }
 
@@ -344,7 +344,7 @@ TEST(Pbtrf, CholeskyFactorIsCorrect)
     const std::size_t n = 8;
     const std::size_t kd = 2;
     auto a = spd_banded(n, kd, 3);
-    auto sym = hl::pack_sym_band(a, kd);
+    auto sym = hl::pack_sym_band(a, kd, a.extent(0));
     ASSERT_EQ(hl::pbtrf(sym), 0);
     // Reconstruct L * L^T and compare against A on the lower band.
     for (std::size_t i = 0; i < n; ++i) {

@@ -4,6 +4,7 @@
 // example-based unit tests.
 #include "bsplines/collocation.hpp"
 #include "bsplines/knots.hpp"
+#include "core/batched_solve.hpp"
 #include "core/schur_solver.hpp"
 #include "core/spline_builder.hpp"
 #include "core/spline_evaluator.hpp"
@@ -110,7 +111,7 @@ TEST_P(PropertySeed, SchurSolveMatchesDenseLuForAnyConfiguration)
     }
     auto x1 = clone(b);
     auto x2 = clone(b);
-    schur.solve_host(x1);
+    core::solve_one(schur.device_data(), x1);
     hostlapack::getrs(lu, ipiv, x2);
     for (std::size_t i = 0; i < n; ++i) {
         EXPECT_NEAR(x1(i), x2(i), 1e-8)

@@ -8,6 +8,7 @@
 #include "core/refinement.hpp"
 #include "core/spline_builder.hpp"
 #include "parallel/deep_copy.hpp"
+#include "parallel/subview.hpp"
 #include "parallel/tiling.hpp"
 #include "parallel/view.hpp"
 
@@ -216,6 +217,51 @@ TEST(Refinement, TightTargetStaysWithinIterationBudget)
             p.builder.solver(), p.b, x, Precision::Mixed, opt);
     EXPECT_LE(stats.refine_iters, 3);
     EXPECT_LE(p.rel_err(x), 1e-11);
+}
+
+// The reduced-precision scatter writes whole rows with streaming stores
+// only into a row-contiguous block; a batch-strided block (LayoutLeft, or a
+// transposed view of row-major storage) must receive the same coefficients
+// as the LayoutRight build, bitwise. Batch 37 leaves a partial pack tail.
+TEST(Refinement, BatchStridedBlocksMatchLayoutRightBitwise)
+{
+    constexpr std::size_t batch = 37;
+    for (const Precision prec : {Precision::Single, Precision::Mixed}) {
+        for (const int degree : {3, 5}) {
+            const auto basis =
+                    bsplines::BSplineBasis::uniform(degree, 64, 0.0, 1.0);
+            const std::size_t n = basis.nbasis();
+            SplineBuilder builder(basis);
+            builder.set_precision(prec);
+            View2D<double> right("right", n, batch);
+            View<double, 2, LayoutLeft> left("left", n, batch);
+            View2D<double> storage("storage", batch, n);
+            const auto transposed = transposed_view(storage);
+            for (std::size_t i = 0; i < n; ++i) {
+                for (std::size_t j = 0; j < batch; ++j) {
+                    const double v =
+                            std::sin(0.2 * static_cast<double>(i)
+                                     + 0.05 * static_cast<double>(j));
+                    right(i, j) = v;
+                    left(i, j) = v;
+                    transposed(i, j) = v;
+                }
+            }
+            builder.build_inplace(right);
+            builder.build_inplace(left);
+            builder.build_inplace(transposed);
+            for (std::size_t i = 0; i < n; ++i) {
+                for (std::size_t j = 0; j < batch; ++j) {
+                    ASSERT_EQ(left(i, j), right(i, j))
+                            << core::to_string(prec) << " deg" << degree
+                            << " LayoutLeft (" << i << ", " << j << ")";
+                    ASSERT_EQ(transposed(i, j), right(i, j))
+                            << core::to_string(prec) << " deg" << degree
+                            << " transposed view (" << i << ", " << j << ")";
+                }
+            }
+        }
+    }
 }
 
 TEST(Precision, ParseSpellings)

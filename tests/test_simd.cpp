@@ -406,10 +406,13 @@ TEST_P(SimdSolveParam, BuilderMatchesScalarWithin4Ulp)
     // corner contributions in different orders, so each SIMD variant is
     // compared against the scalar version of *its own* chain (where the
     // lane-wise operations are identical and in identical order).
+    // Both references run the FP64 chain whatever PSPL_PRECISION says.
     SplineBuilder scalar_builder(basis, BuilderVersion::Fused);
+    scalar_builder.set_precision(core::Precision::Double);
     auto ref_gemv = clone(values);
     scalar_builder.build_inplace(ref_gemv);
     SplineBuilder spmv_builder(basis, BuilderVersion::FusedSpmv);
+    spmv_builder.set_precision(core::Precision::Double);
     auto ref_spmv = clone(values);
     spmv_builder.build_inplace(ref_spmv);
 

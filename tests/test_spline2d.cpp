@@ -2,7 +2,6 @@
 // separability, mixed boundaries/degrees, convergence, derivatives and
 // quadrature.
 #include "core/spline_builder.hpp"
-#include "advection/transpose.hpp"
 #include "core/spline_builder_2d.hpp"
 #include "core/spline_evaluator.hpp"
 #include "core/spline_evaluator_2d.hpp"
@@ -246,7 +245,8 @@ TEST(Spline2D, BatchedRank3MatchesPlaneByPlane)
             }
         }
     }
-    // Reference: plane k = 2 solved alone.
+    // Reference: plane k = 2 solved alone. Every column runs the same
+    // chain in both builds, so they agree bitwise.
     View2D<double> plane("plane", bx.nbasis(), by.nbasis());
     for (std::size_t i = 0; i < bx.nbasis(); ++i) {
         for (std::size_t j = 0; j < by.nbasis(); ++j) {
@@ -257,28 +257,7 @@ TEST(Spline2D, BatchedRank3MatchesPlaneByPlane)
     builder.build_inplace(block);
     for (std::size_t i = 0; i < bx.nbasis(); ++i) {
         for (std::size_t j = 0; j < by.nbasis(); ++j) {
-            EXPECT_NEAR(block(i, j, 2), plane(i, j), 1e-13);
-        }
-    }
-}
-
-TEST(Transpose01, PermutesLeadingDims)
-{
-    View3D<double> in("in", 3, 4, 2);
-    for (std::size_t i = 0; i < 3; ++i) {
-        for (std::size_t j = 0; j < 4; ++j) {
-            for (std::size_t k = 0; k < 2; ++k) {
-                in(i, j, k) = static_cast<double>(100 * i + 10 * j + k);
-            }
-        }
-    }
-    View3D<double> out("out", 4, 3, 2);
-    advection::transpose_01("t01", in, out);
-    for (std::size_t i = 0; i < 3; ++i) {
-        for (std::size_t j = 0; j < 4; ++j) {
-            for (std::size_t k = 0; k < 2; ++k) {
-                EXPECT_EQ(out(j, i, k), in(i, j, k));
-            }
+            EXPECT_EQ(block(i, j, 2), plane(i, j)) << "i=" << i << " j=" << j;
         }
     }
 }

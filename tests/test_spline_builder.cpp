@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <numbers>
@@ -356,20 +355,6 @@ void expect_bitwise_equal(const View2D<double>& out, const View2D<double>& ref,
     }
 }
 
-/// PSPL_TILE for one scope (the Hermite builder reads its tile policy
-/// from the environment on every solve).
-class ScopedTileEnv
-{
-public:
-    explicit ScopedTileEnv(const char* value)
-    {
-        ::setenv("PSPL_TILE", value, 1);
-    }
-    ~ScopedTileEnv() { ::unsetenv("PSPL_TILE"); }
-    ScopedTileEnv(const ScopedTileEnv&) = delete;
-    ScopedTileEnv& operator=(const ScopedTileEnv&) = delete;
-};
-
 constexpr std::size_t identity_batches[] = {1, 7, 9, 33, 1003};
 
 class DefaultVersionParam
@@ -433,23 +418,25 @@ TEST_P(DefaultHermiteParam, MatchesSpmvRungBitwise)
                                                                  0.4));
     core::HermiteSplineBuilder rung(basis, BuilderVersion::FusedSpmv);
     rung.set_precision(core::Precision::Double);
+    rung.set_tile_policy(TilePolicy::off());
     core::HermiteSplineBuilder builder(basis);
     builder.set_precision(core::Precision::Double);
-    for (const char* tile : {"auto", "off", "13"}) {
+    ASSERT_EQ(builder.version(), core::default_builder_version);
+
+    const std::pair<const char*, TilePolicy> policies[] = {
+            {"auto", TilePolicy::automatic()},
+            {"off", TilePolicy::off()},
+            {"13", TilePolicy::explicit_width(13)}};
+    for (const auto& [name, policy] : policies) {
+        builder.set_tile_policy(policy);
         for (const std::size_t batch : identity_batches) {
             const auto values = sample_block(basis, batch);
             auto ref = clone(values);
-            {
-                const ScopedTileEnv env("off");
-                rung.build_inplace(ref);
-            }
+            rung.build_inplace(ref);
             auto out = clone(values);
-            {
-                const ScopedTileEnv env(tile);
-                builder.build_inplace(out);
-            }
+            builder.build_inplace(out);
             expect_bitwise_equal(out, ref,
-                                 std::string("tile=") + tile
+                                 std::string("tile=") + name
                                          + " batch=" + std::to_string(batch));
         }
     }
